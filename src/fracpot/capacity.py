@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Grid, GridField, Measure, Parameters, total_mass
+from .core import Grid, GridField, Measure, Parameters, measure_ball_mass, total_mass
 from .errors import (
     AlphaOutOfRange,
     ConfigError,
@@ -32,7 +32,7 @@ from .errors import (
     ZeroMeasure,
 )
 from .riesz import riesz_constant, riesz_potential_field, riesz_potential_measure
-from .special import sphere_surface
+from .special import ball_volume, sphere_surface
 
 
 @dataclass(frozen=True)
@@ -146,15 +146,15 @@ def estimate_capacity(
     hn = grid.cell_volume
 
     def potential(vals: np.ndarray) -> np.ndarray:
-        return riesz_potential_field(GridField(grid, vals), alpha, method="fft").values
+        if not vals.any():  # the deficit of a feasible candidate
+            return np.zeros_like(vals)
+        return riesz_potential_field(GridField(grid, vals), alpha).values
 
     def objective(vals: np.ndarray) -> float:
         return float(hn * np.sum(vals**p))
 
     # equivalent-ball candidate on E, rescaled to exact feasibility
     count = int(mask.sum())
-    from .special import ball_volume
-
     r_eq = (count * hn / ball_volume(grid.n)) ** (1.0 / grid.n)
     c = riesz_constant(grid.n, alpha)
     height = 2.0 ** (grid.n - alpha) / (c * sphere_surface(grid.n) * r_eq**alpha)
@@ -163,10 +163,11 @@ def estimate_capacity(
     if a_min <= 0.0:
         raise NotConverged("initial candidate generates no potential on E")
     u = u / a_min
+    au = potential(u)
 
     upper = objective(u)
     best_val = upper
-    best_u = u.copy()
+    best_u, best_au = u.copy(), au
 
     mu = 10.0
     # beyond this the penalty term saturates double precision long before it
@@ -177,7 +178,6 @@ def estimate_capacity(
     stall = 0
     it = 0
     for it in range(1, max_iter + 1):
-        au = potential(u)
         deficit = np.where(mask, np.maximum(0.0, 1.0 - au), 0.0)
         grad = hn * (p * u ** (p - 1.0) - 2.0 * mu * potential(deficit))
         scale = float(np.max(np.abs(grad)))
@@ -190,13 +190,16 @@ def estimate_capacity(
             u_scale = 1.0
         phi0 = objective(u) + mu * hn * float(np.sum(deficit**2))
         trial_step = step
+        rejected = u  # a trial equal to it would be rejected again
         for _ in range(30):
             cand = np.maximum(0.0, u - trial_step * u_scale / scale * grad)
-            au_c = potential(cand)
-            def_c = np.where(mask, np.maximum(0.0, 1.0 - au_c), 0.0)
-            phi_c = objective(cand) + mu * hn * float(np.sum(def_c**2))
-            if phi_c < phi0:
-                break
+            if not np.array_equal(cand, rejected):
+                au_c = potential(cand)
+                def_c = np.where(mask, np.maximum(0.0, 1.0 - au_c), 0.0)
+                phi_c = objective(cand) + mu * hn * float(np.sum(def_c**2))
+                if phi_c < phi0:
+                    break
+                rejected = cand
             trial_step *= 0.5
         else:
             trial_step = 0.0
@@ -206,7 +209,7 @@ def estimate_capacity(
             mu *= 10.0
             stall = 0
             continue
-        u = cand
+        u, au = cand, au_c
         step = min(trial_step * 2.0, 1e6)
 
         feas_min = _mask_min(au_c, mask)
@@ -214,10 +217,10 @@ def estimate_capacity(
             polished = objective(u / feas_min)
             if feas_min >= 1.0 - tol and objective(u) < best_val:
                 best_val = objective(u)
-                best_u = u.copy()
+                best_u, best_au = u.copy(), au
             elif polished < best_val:
                 best_val = polished
-                best_u = u / feas_min
+                best_u, best_au = u / feas_min, None
         obj = objective(u)
         if feas_min >= 1.0 - tol and abs(prev_obj - obj) <= 1e-8 * max(obj, 1e-300):
             stall += 1
@@ -229,7 +232,7 @@ def estimate_capacity(
             mu = min(mu * 10.0, mu_max)
         prev_obj = obj
 
-    gap = 1.0 - _mask_min(potential(best_u), mask)
+    gap = 1.0 - _mask_min(potential(best_u) if best_au is None else best_au, mask)
     if gap > tol:
         raise NotConverged(f"feasibility gap {gap:.2e} after {it} iterations")
     return CapacityEstimate(
@@ -271,9 +274,7 @@ def wolff_ratio(omega: Measure, params: Parameters, grid: Grid) -> Admissibility
         )
     alpha = 2.0 * params.s - 1.0
     v = riesz_potential_measure(omega, alpha, grid).values
-    w = riesz_potential_field(
-        GridField(grid, v**params.q), alpha, method="fft"
-    ).values
+    w = riesz_potential_field(GridField(grid, v**params.q), alpha).values
     keep = v >= 1e-14
     c1_hat = float(np.max(w[keep] / v[keep]))
     thresh = c1_threshold(params)
@@ -301,8 +302,6 @@ def check_capacity_domination(
     omega: Measure, params: Parameters, balls
 ) -> DominationReport:
     """Ratios omega(B) / cap-upper-bound over a family of balls."""
-    from .core import measure_ball_mass
-
     alpha = 2.0 * params.s - 1.0
     ratios = []
     stored = []

@@ -45,6 +45,7 @@ from .io import (
     write_field,
     write_measure,
 )
+from .riesz import FFT_BACKEND, available_cpus, fft_worker_count, fft_workers
 from .solver import (
     constants_ledger,
     picard_solve,
@@ -123,6 +124,8 @@ def _write_run_meta(outdir: Path, args_threads: int | None) -> None:
         "package_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "threads_requested": args_threads,
+        "fft_backend": FFT_BACKEND,
+        "fft_workers": fft_worker_count(),
     }
     (outdir / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 
@@ -356,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
         "for (-Delta)^s u = |grad u|^q + omega",
     )
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (results are independent of this)")
+                        help="FFT workers for large transforms (default: the CPUs "
+                        "available; results are independent of this)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="print the constants ledger")
@@ -408,8 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    threads = available_cpus() if args.threads is None else args.threads
     try:
-        return args.func(args)
+        with fft_workers(threads):
+            return args.func(args)
     except NotAdmissible as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

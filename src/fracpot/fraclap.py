@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import Grid, GridField, Measure, Parameters, VectorGridField
 from .errors import BoundaryLeak, GridMismatch
-from .riesz import atom_quadrature_correction
+from .riesz import atom_quadrature_correction, fourier_multiplier
 
 _LEAK_TOLERANCE = 1e-10
 
@@ -136,18 +136,12 @@ def fractional_laplacian_spectral(phi: GridField, s: float) -> GridField:
             f"boundary amplitude {leak:.3e} of the peak exceeds {_LEAK_TOLERANCE:.0e}; "
             "enlarge the box or shrink the field"
         )
-    xi_full = 2.0 * np.pi * np.fft.fftfreq(g.N, d=g.h)
-    xi_half = xi_full[: g.N // 2 + 1]
+    xi = 2.0 * np.pi * np.fft.fftfreq(g.N, d=g.h)
     xi2 = np.zeros((g.N,) * (g.n - 1) + (g.N // 2 + 1,))
-    for ax in range(g.n):
-        axis_vals = xi_half if ax == g.n - 1 else xi_full
-        shape = [1] * g.n
-        shape[ax] = axis_vals.size
-        xi2 = xi2 + (axis_vals**2).reshape(shape)
+    for m in np.meshgrid(*[xi] * (g.n - 1), xi[: g.N // 2 + 1], indexing="ij", sparse=True):
+        xi2 += m**2
     symbol = xi2**s  # 0^0 = 1 keeps s = 0 the identity
-    axes = tuple(range(g.n))
-    out = np.fft.irfftn(np.fft.rfftn(phi.values, axes=axes) * symbol, s=g.shape, axes=axes)
-    return GridField(g, out)
+    return GridField(g, fourier_multiplier(phi.values, symbol))
 
 
 def weak_residual(

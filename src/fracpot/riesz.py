@@ -16,6 +16,13 @@ knob.  Atomic measures never touch the grid: their potentials are exact
 kernel sums, with the same equal-volume-ball average substituted when an
 evaluation point sits on an atom.
 
+Every grid convolution is one free-space convolution on the grid padded to
+2N points per axis, by scipy.fft transforms pruned of the all-zero input
+lines and the cropped output lines (Hockney-Eastwood).  Kernel transforms
+are cached; riesz_potential_and_gradient_field shares one forward transform
+between I_2s f and its gradient.  Large transforms run on every available
+CPU (fft_workers changes the count), which never changes a result.
+
 Differentiating |x - y|^(2s - n) gives the vector kernel
 
     grad I_2s(omega)(x)_i = -(n - 2s) c(n, 2s) *
@@ -30,19 +37,17 @@ display the kernel without it) changes every downstream constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import convolve as _direct_convolve
+import scipy.fft
 
 from .core import Grid, GridField, Measure, VectorGridField
-from .errors import AlphaOutOfRange, NegativeDensity, OrderOutOfRange, SingularPoint
+from .errors import AlphaOutOfRange, ConfigError, NegativeDensity, OrderOutOfRange, SingularPoint
 from .special import ball_volume, gamma, sphere_surface
-
-# Direct summation is the documented reference path on small grids; above
-# this many cells per axis the zero-padded FFT convolution takes over.
-_DIRECT_LIMIT = 64
 
 
 def riesz_constant(n: int, alpha: float) -> float:
@@ -71,31 +76,6 @@ def gradient_comparison_constant(n: int, s: float) -> float:
     differ exactly by this ratio in magnitude.
     """
     return (n - 2.0 * s) * riesz_constant(n, 2.0 * s) / riesz_constant(n, 2.0 * s - 1.0)
-
-
-@dataclass(frozen=True)
-class KernelConstants:
-    """Bundle of the kernel constants for one (n, s) pair."""
-
-    n: int
-    s: float
-    c_riesz_2s: float
-    c_riesz_2s_minus_1: float
-    a_fraclap: float
-    omega_surface: float
-    v_ball: float
-
-    @classmethod
-    def for_order(cls, n: int, s: float) -> "KernelConstants":
-        return cls(
-            n=n,
-            s=s,
-            c_riesz_2s=riesz_constant(n, 2.0 * s),
-            c_riesz_2s_minus_1=riesz_constant(n, 2.0 * s - 1.0),
-            a_fraclap=fraclap_constant(n, s),
-            omega_surface=sphere_surface(n),
-            v_ball=ball_volume(n),
-        )
 
 
 def riesz_kernel(x: np.ndarray, n: int, alpha: float) -> np.ndarray | float:
@@ -260,8 +240,82 @@ def atom_quadrature_correction(
 
 
 # ---------------------------------------------------------------------------
-# Convolution plans.  Free-space (non-periodic) convolutions on the 2N-padded
-# grid; kernel transforms are cached per (grid, alpha/s, kind).
+# The convolution engine.  Free-space (non-periodic) convolutions on the
+# 2N-padded grid through scipy.fft; kernel transforms are cached per
+# (grid, alpha/s, kind).
+
+# Transforms of at least this many padded points run on every worker;
+# smaller ones run on one, where starting threads costs more than it saves.
+_PARALLEL_MIN_POINTS = 2**20
+
+FFT_BACKEND = f"scipy.fft (pocketfft), scipy {scipy.__version__}"
+
+
+def available_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_FFT_WORKERS = ContextVar("fft_workers", default=available_cpus())
+
+
+def fft_worker_count() -> int:
+    """Workers the engine gives to a large transform."""
+    return _FFT_WORKERS.get()
+
+
+@contextmanager
+def fft_workers(count: int):
+    """Run large transforms on count workers inside the block; results do not change."""
+    if count < 1:
+        raise ConfigError(f"FFT worker count must be at least 1, got {count}")
+    token = _FFT_WORKERS.set(count)
+    try:
+        yield
+    finally:
+        _FFT_WORKERS.reset(token)
+
+
+def _workers(points: int) -> int:
+    return _FFT_WORKERS.get() if points >= _PARALLEL_MIN_POINTS else 1
+
+
+def _rfftn_padded(values: np.ndarray, size: int) -> np.ndarray:
+    """rfftn of values zero-padded to size points on every axis.
+
+    rfft runs on the lines that hold data only, and each further axis is
+    padded just before its own transform, so no all-zero line is transformed.
+    """
+    w = _workers(size**values.ndim)
+    out = scipy.fft.rfft(values, n=size, axis=-1, workers=w)
+    for ax in range(values.ndim - 1):
+        out = scipy.fft.fft(out, n=size, axis=ax, overwrite_x=True, workers=w)
+    return out
+
+
+def _irfftn_cropped(spec: np.ndarray, N: int) -> np.ndarray:
+    """First N points per axis of irfftn(spec) on 2N points per axis.
+
+    Each leading axis is cropped right after its inverse transform, so later
+    transforms skip the lines the result discards.  spec is overwritten.
+    """
+    n = spec.ndim
+    w = _workers((2 * N) ** n)
+    for ax in range(n - 1):
+        spec = scipy.fft.ifft(spec, axis=ax, overwrite_x=True, workers=w)
+        spec = spec[(slice(None),) * ax + (slice(0, N),)]
+    return scipy.fft.irfft(spec, n=2 * N, axis=-1, workers=w)[..., :N]
+
+
+def fourier_multiplier(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Periodic Fourier multiplier on the grid itself: irfftn(symbol * rfftn(values))."""
+    w = _workers(values.size)
+    axes = tuple(range(values.ndim))
+    spec = scipy.fft.rfftn(values, axes=axes, workers=w)
+    spec *= symbol
+    return scipy.fft.irfftn(spec, s=values.shape, axes=axes, overwrite_x=True, workers=w)
 
 
 def _offset_axis(N: int) -> np.ndarray:
@@ -270,84 +324,55 @@ def _offset_axis(N: int) -> np.ndarray:
     return np.concatenate([np.arange(0, N + 1), np.arange(-N + 1, 0)]).astype(float)
 
 
-def _padded_scalar_kernel(grid: Grid, alpha: float) -> np.ndarray:
-    c = riesz_constant(grid.n, alpha)
+def _padded_r2(grid: Grid) -> tuple[np.ndarray, list[np.ndarray]]:
+    """|offset|^2 on the padded grid (1 at offset 0) and the sparse offset mesh."""
     axes = [_offset_axis(grid.N) * grid.h for _ in range(grid.n)]
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     r2 = np.zeros((2 * grid.N,) * grid.n)
     for m in mesh:
-        r2 = r2 + m**2
+        r2 += m**2
     r2[(0,) * grid.n] = 1.0
-    kern = c * r2 ** ((alpha - grid.n) / 2.0)
-    kern[(0,) * grid.n] = singular_cell_average(grid, alpha)
-    # zero the unused slot at offset N on each axis (keeps it inert and finite)
-    for ax in range(grid.n):
-        sl = [slice(None)] * grid.n
-        sl[ax] = grid.N
-        kern[tuple(sl)] = 0.0
+    return r2, mesh
+
+
+def _zero_offset_n_slots(kern: np.ndarray, N: int) -> np.ndarray:
+    # keeps the unused slot at offset N on each axis inert and finite
+    for ax in range(kern.ndim):
+        kern[(slice(None),) * ax + (N,)] = 0.0
     return kern
 
 
-def _padded_gradient_kernels(grid: Grid, s: float) -> list[np.ndarray]:
+def _scalar_kernels(grid: Grid, alpha: float):
+    """The padded scalar kernel, as a family of one."""
+    c = riesz_constant(grid.n, alpha)
+    kern, _ = _padded_r2(grid)
+    kern **= (alpha - grid.n) / 2.0
+    kern *= c
+    kern[(0,) * grid.n] = singular_cell_average(grid, alpha)
+    yield _zero_offset_n_slots(kern, grid.N)
+
+
+def _gradient_kernels(grid: Grid, s: float):
+    """The n padded components of the gradient kernel, one at a time."""
     n = grid.n
     c = riesz_constant(n, 2.0 * s)
-    axes = [_offset_axis(grid.N) * grid.h for _ in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    r2 = np.zeros((2 * grid.N,) * n)
-    for m in mesh:
-        r2 = r2 + m**2
-    r2[(0,) * n] = 1.0
-    radial = -(n - 2.0 * s) * c * r2 ** ((2.0 * s - n - 2.0) / 2.0)
-    comps = []
+    radial, mesh = _padded_r2(grid)
+    radial **= (2.0 * s - n - 2.0) / 2.0
+    radial *= -(n - 2.0 * s) * c
     for ax in range(n):
         comp = radial * mesh[ax]
         comp[(0,) * n] = 0.0  # odd kernel: exact ball average vanishes
-        for other in range(n):
-            sl = [slice(None)] * n
-            sl[other] = grid.N
-            comp[tuple(sl)] = 0.0
-        comps.append(comp)
-    return comps
+        yield _zero_offset_n_slots(comp, grid.N)
 
 
-class _ConvPlan:
-    """Cached rfftn of a padded kernel plus the apply() machinery."""
-
-    def __init__(self, grid: Grid, kernels: list[np.ndarray]):
-        self.grid = grid
-        self.shape = (2 * grid.N,) * grid.n
-        self.axes = tuple(range(grid.n))
-        self.kernel_hats = [np.fft.rfftn(k, s=self.shape, axes=self.axes) for k in kernels]
-
-    def apply(self, values: np.ndarray) -> list[np.ndarray]:
-        g = self.grid
-        f_hat = np.fft.rfftn(values, s=self.shape, axes=self.axes)
-        crop = tuple(slice(0, g.N) for _ in range(g.n))
-        out = []
-        for k_hat in self.kernel_hats:
-            conv = np.fft.irfftn(f_hat * k_hat, s=self.shape, axes=self.axes)[crop]
-            out.append(conv * g.cell_volume)
-        return out
+_PLAN_CACHE: dict[tuple, list[np.ndarray]] = {}
 
 
-_PLAN_CACHE: dict[tuple, _ConvPlan] = {}
-
-
-def _plan_key(grid: Grid, order: float, kind: str) -> tuple:
-    return (grid.n, grid.N, float(grid.L).hex(), float(order).hex(), kind)
-
-
-def _scalar_plan(grid: Grid, alpha: float) -> _ConvPlan:
-    key = _plan_key(grid, alpha, "scalar")
+def _kernel_hats(grid: Grid, order: float, family) -> list[np.ndarray]:
+    """Transforms of the kernels family(grid, order), cached per grid and order."""
+    key = (grid.n, grid.N, float(grid.L).hex(), float(order).hex(), family.__name__)
     if key not in _PLAN_CACHE:
-        _PLAN_CACHE[key] = _ConvPlan(grid, [_padded_scalar_kernel(grid, alpha)])
-    return _PLAN_CACHE[key]
-
-
-def _gradient_plan(grid: Grid, s: float) -> _ConvPlan:
-    key = _plan_key(grid, s, "gradient")
-    if key not in _PLAN_CACHE:
-        _PLAN_CACHE[key] = _ConvPlan(grid, _padded_gradient_kernels(grid, s))
+        _PLAN_CACHE[key] = [_rfftn_padded(k, 2 * grid.N) for k in family(grid, order)]
     return _PLAN_CACHE[key]
 
 
@@ -355,57 +380,35 @@ def clear_plan_cache() -> None:
     _PLAN_CACHE.clear()
 
 
-def _full_scalar_kernel(grid: Grid, alpha: float) -> np.ndarray:
-    """Kernel on the (2N-1)^n offset grid for the direct reference path."""
-    c = riesz_constant(grid.n, alpha)
-    off = np.arange(-(grid.N - 1), grid.N).astype(float) * grid.h
-    mesh = np.meshgrid(*([off] * grid.n), indexing="ij", sparse=True)
-    r2 = np.zeros((2 * grid.N - 1,) * grid.n)
-    for m in mesh:
-        r2 = r2 + m**2
-    center = (grid.N - 1,) * grid.n
-    r2[center] = 1.0
-    kern = c * r2 ** ((alpha - grid.n) / 2.0)
-    kern[center] = singular_cell_average(grid, alpha)
-    return kern
-
-
-def _check_density(f: GridField) -> None:
+def _convolve(f: GridField, *families: tuple[float, object]) -> list[GridField]:
+    """f convolved with each kernel of the (order, family) pairs, from one transform of f."""
     if np.any(f.values < 0.0):
         raise NegativeDensity("potential of a signed density is not defined here")
+    g = f.grid
+    kernel_hats = [k for order, family in families for k in _kernel_hats(g, order, family)]
+    f_hat = _rfftn_padded(f.values, 2 * g.N)
+    return [GridField(g, _irfftn_cropped(f_hat * k, g.N) * g.cell_volume) for k in kernel_hats]
 
 
-def riesz_potential_field(f: GridField, alpha: float, method: str = "auto") -> GridField:
-    """I_alpha of a nonnegative gridded density.
-
-    method: "direct" sums the kernel explicitly, "fft" uses the zero-padded
-    free-space convolution, "auto" picks direct up to 64 cells per axis.
-    Both paths evaluate the same discrete sum and agree to rounding.
-    """
-    _check_density(f)
-    riesz_constant(f.grid.n, alpha)
-    if method == "auto":
-        method = "direct" if f.grid.N <= _DIRECT_LIMIT else "fft"
-    if method == "direct":
-        kern = _full_scalar_kernel(f.grid, alpha)
-        conv = _direct_convolve(f.values, kern, mode="same", method="direct")
-        return GridField(f.grid, conv * f.grid.cell_volume)
-    if method != "fft":
-        raise ValueError(f"unknown method {method!r}")
-    out = _scalar_plan(f.grid, alpha).apply(f.values)[0]
-    return GridField(f.grid, out)
+def riesz_potential_field(f: GridField, alpha: float) -> GridField:
+    """I_alpha of a nonnegative gridded density, by zero-padded FFT convolution."""
+    return _convolve(f, (alpha, _scalar_kernels))[0]
 
 
-def riesz_gradient_field(f: GridField, s: float, method: str = "auto") -> VectorGridField:
+def riesz_gradient_field(f: GridField, s: float) -> VectorGridField:
     """Gradient of I_2s applied to a nonnegative gridded density."""
-    _check_density(f)
-    grid = f.grid
-    if method == "auto":
-        method = "fft"
-    if method != "fft":
-        raise ValueError("gradient field path is FFT only")
-    comps = _gradient_plan(grid, s).apply(f.values)
-    return VectorGridField(grid, tuple(GridField(grid, c) for c in comps))
+    return VectorGridField(f.grid, tuple(_convolve(f, (s, _gradient_kernels))))
+
+
+def riesz_potential_and_gradient_field(
+    f: GridField, s: float
+) -> tuple[GridField, VectorGridField]:
+    """I_2s f and grad I_2s f from one forward transform of f.
+
+    Bitwise equal to riesz_potential_field(f, 2s) and riesz_gradient_field(f, s).
+    """
+    u, *grad = _convolve(f, (2.0 * s, _scalar_kernels), (s, _gradient_kernels))
+    return u, VectorGridField(f.grid, tuple(grad))
 
 
 def _atom_distances(
@@ -443,7 +446,7 @@ def riesz_potential_measure(measure: Measure, alpha: float, grid: Grid) -> GridF
         for atom, w in zip(measure.atoms, measure.weights):
             out += w * _atom_kernel_samples(grid, _atom_distances(grid, atom), alpha)
         return GridField(grid, out)
-    return riesz_potential_field(measure.as_density(grid), alpha, method="fft")
+    return riesz_potential_field(measure.as_density(grid), alpha)
 
 
 def riesz_gradient_measure(measure: Measure, s: float, grid: Grid) -> VectorGridField:
@@ -464,7 +467,7 @@ def riesz_gradient_measure(measure: Measure, s: float, grid: Grid) -> VectorGrid
             for i in range(n):
                 comps[i] += w * radial * (coords[i] - atom[i])
         return VectorGridField(grid, tuple(GridField(grid, v) for v in comps))
-    return riesz_gradient_field(measure.as_density(grid), s, method="fft")
+    return riesz_gradient_field(measure.as_density(grid), s)
 
 
 def weighted_ls_norm(u: GridField, s: float) -> float:

@@ -20,8 +20,8 @@ from .errors import Diverged, NotAdmissible, ThetaOutOfRange
 from .fraclap import TestFunction, default_test_functions, weak_residual
 from .riesz import (
     gradient_comparison_constant,
-    riesz_gradient_field,
     riesz_gradient_measure,
+    riesz_potential_and_gradient_field,
     riesz_potential_field,
     riesz_potential_measure,
 )
@@ -133,10 +133,6 @@ class SolveReport:
         }
 
 
-def _grad_magnitude(g: VectorGridField) -> np.ndarray:
-    return g.magnitude().values
-
-
 def representation_residual(
     u: GridField, grad_u: VectorGridField, omega: Measure, params: Parameters
 ) -> float:
@@ -145,8 +141,8 @@ def representation_residual(
     sup_u = float(np.max(np.abs(u.values)))
     if sup_u == 0.0:
         return 0.0
-    gq = GridField(grid, _grad_magnitude(grad_u) ** params.q)
-    rhs = riesz_potential_field(gq, 2.0 * params.s, method="fft").values
+    gq = GridField(grid, grad_u.magnitude().values ** params.q)
+    rhs = riesz_potential_field(gq, 2.0 * params.s).values
     rhs = rhs + riesz_potential_measure(omega, 2.0 * params.s, grid).values
     return float(np.max(np.abs(u.values - rhs))) / sup_u
 
@@ -167,7 +163,7 @@ def gradient_bound_check(
 ) -> float:
     """max |grad u| / I_{2s-1}(omega) over points where the potential lives."""
     v = riesz_potential_measure(omega, 2.0 * params.s - 1.0, grad_u.grid).values
-    mag = _grad_magnitude(grad_u)
+    mag = grad_u.magnitude().values
     keep = v >= 1e-14
     return float(np.max(mag[keep] / v[keep])) if keep.any() else 0.0
 
@@ -230,9 +226,9 @@ def picard_solve(
         iterations = k + 1
         mag = np.sqrt(sum(g * g for g in grad))
         gq = GridField(grid, mag**params.q)
-        u_next = riesz_potential_field(gq, s2, method="fft").values + u0.values
-        g_next_field = riesz_gradient_field(gq, params.s, method="fft")
-        g_next = [c.values + g0_vals[i] for i, c in enumerate(g_next_field.components)]
+        pot, pot_grad = riesz_potential_and_gradient_field(gq, params.s)
+        u_next = pot.values + u0.values
+        g_next = [c.values + g0_vals[i] for i, c in enumerate(pot_grad.components)]
 
         inc = float(np.max(np.abs(u_next - u)))
         ginc = float(

@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 from scipy.integrate import dblquad, tplquad
+from scipy.signal import convolve
 from scipy.special import gamma, j0, jv, zeta
 
 
@@ -132,6 +133,43 @@ def riesz_cell_average_quad(n: int, alpha: float, offset) -> float:
             )
         total += val
     return c * total
+
+
+def riesz_direct_sum(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
+    """I_alpha of a gridded density by explicit summation over all cell pairs.
+
+    The kernel c |x - y|^(alpha - n) is sampled at cell-centre offsets; the
+    singular offset-zero cell takes the kernel's average over the ball with
+    the volume of one cell.  O(N^(2n)) work, so only for small grids.
+    """
+    n, N = values.ndim, values.shape[0]
+    c = np.pi ** (-n / 2.0) * 2.0**-alpha * gamma((n - alpha) / 2.0) / gamma(alpha / 2.0)
+    off = np.arange(-(N - 1), N) * h
+    mesh = np.meshgrid(*([off] * n), indexing="ij", sparse=True)
+    r2 = sum(m**2 for m in mesh)
+    centre = (N - 1,) * n
+    r2[centre] = 1.0
+    kern = c * r2 ** ((alpha - n) / 2.0)
+    ball_volume = np.pi ** (n / 2.0) / gamma(n / 2.0 + 1.0)
+    sphere_surface = 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
+    rho = h * ball_volume ** (-1.0 / n)
+    kern[centre] = c * sphere_surface * rho**alpha / (alpha * h**n)
+    return convolve(values, kern, mode="same", method="direct") * h**n
+
+
+def padded_fft_convolution(
+    values: np.ndarray, kernel: np.ndarray, cell_volume: float
+) -> np.ndarray:
+    """Free-space convolution by unpruned numpy.fft transforms.
+
+    kernel holds the kernel on the grid padded to 2N points per axis, offsets
+    laid out circularly; both operands are transformed at full padded size
+    and the result is cropped to the first N points per axis.
+    """
+    n, N = values.ndim, values.shape[0]
+    shape, axes = (2 * N,) * n, tuple(range(n))
+    prod = np.fft.rfftn(values, s=shape, axes=axes) * np.fft.rfftn(kernel, s=shape, axes=axes)
+    return np.fft.irfftn(prod, s=shape, axes=axes)[(slice(0, N),) * n] * cell_volume
 
 
 def disk_intersection_area(d: float, r1: float, r2: float) -> float:

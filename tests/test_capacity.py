@@ -128,6 +128,23 @@ def test_nested_balls_monotone(unit_ball_estimate):
     assert inner.value <= unit_ball_estimate.value * (1.0 + 1e-3)
 
 
+def test_estimator_never_evaluates_the_same_array_twice_in_a_row(monkeypatch):
+    # the accepted trial's potential is carried into the next iteration, and
+    # a trial equal to one already rejected is not evaluated again
+    import fracpot.capacity as capacity
+
+    seen = []
+
+    def recording(f, alpha):
+        seen.append(f.values.copy())
+        return riesz_potential_field(f, alpha)
+
+    monkeypatch.setattr(capacity, "riesz_potential_field", recording)
+    est = estimate_ball_capacity(np.zeros(2), 1.0, 0.5, 2.0, Grid(2, 4.0, 32))
+    assert est.iterations > 1
+    assert not any(np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
+
+
 def test_estimate_rejects_empty_or_mismatched_mask():
     g = Grid(2, 4.0, 32)
     with pytest.raises(EmptySet):

@@ -1,6 +1,9 @@
 """Command-line interface: configs, artifacts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 
 from fracpot.cli import load_config, main
 from fracpot.io import read_field, write_field
+from fracpot.riesz import available_cpus
 
 REFERENCE_CONFIG = {
     "version": 1,
@@ -100,6 +104,28 @@ def test_solve_is_byte_deterministic(solved, tmp_path):
         assert rc == 0
         assert (rerun / "report.json").read_bytes() == ref_bytes
         assert (rerun / "u.field").read_bytes() == (out / "u.field").read_bytes()
+
+
+def test_run_meta_records_fft_backend_and_workers(solved):
+    _, out = solved
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["fft_backend"].startswith("scipy.fft")
+    assert meta["fft_workers"] == available_cpus()
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    # scipy.signal took most of the CLI's start-up time; only the test
+    # oracles use it now
+    code = "import sys, fracpot.cli; sys.exit('scipy.signal' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_threads_below_one_is_a_config_error(capsys):
+    # exit 1 (validation), not argparse's 2, which means "inadmissible" here
+    rc = main(["--threads", "0", "constants", "--n", "2", "--s", "0.75", "--q", "2"])
+    assert rc == 1
+    assert "worker count" in capsys.readouterr().err
 
 
 def test_solve_without_scaling_is_inadmissible(tmp_path, capsys):

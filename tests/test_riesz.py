@@ -1,7 +1,9 @@
 """Riesz potentials: kernel constants, quadrature, and gradient comparison.
 
 The Gaussian comparisons are pinned by the Hankel-transform oracle in
-oracles.py, which shares nothing with the convolution code.
+oracles.py, which shares nothing with the convolution code.  The pruned
+scipy.fft engine is held to an unpruned numpy.fft convolution with the same
+kernels and to the direct sum, both also in oracles.py.
 """
 
 import numpy as np
@@ -23,14 +25,25 @@ from fracpot import (
     riesz_potential_measure,
     weighted_ls_norm,
 )
-from fracpot.errors import AlphaOutOfRange, NegativeDensity, SingularPoint
+from fracpot import riesz
+from fracpot.errors import AlphaOutOfRange, ConfigError, NegativeDensity, SingularPoint
 from fracpot.riesz import (
+    _gradient_kernels,
+    _scalar_kernels,
     atom_quadrature_correction,
+    clear_plan_cache,
+    fft_workers,
     riesz_cell_average,
+    riesz_potential_and_gradient_field,
     singular_cell_average,
 )
 
-from oracles import riesz_cell_average_quad, riesz_gaussian_radial
+from oracles import (
+    padded_fft_convolution,
+    riesz_cell_average_quad,
+    riesz_direct_sum,
+    riesz_gaussian_radial,
+)
 
 
 def test_constant_closed_forms():
@@ -163,9 +176,73 @@ def test_direct_and_fft_paths_agree():
     g = Grid(2, 6.0, 48)
     X, Y = g.coords()
     f = GridField(g, np.exp(-0.5 * (X**2 + Y**2)))
-    ud = riesz_potential_field(f, 1.5, method="direct").values
-    uf = riesz_potential_field(f, 1.5, method="fft").values
+    ud = riesz_direct_sum(f.values, g.h, 1.5)
+    uf = riesz_potential_field(f, 1.5).values
     assert np.max(np.abs(ud - uf)) <= 1e-13 * np.max(ud)
+
+
+def _smooth_density(g: Grid) -> GridField:
+    coords = g.coords()
+    r2 = sum(c**2 for c in coords)
+    return GridField(g, np.exp(-r2) * (1.0 + 0.5 * np.cos(3.0 * coords[0])))
+
+
+def _numpy_reference(f: GridField, s: float) -> list[np.ndarray]:
+    """I_2s f and the gradient components through unpruned numpy.fft."""
+    g = f.grid
+    kernels = [*_scalar_kernels(g, 2.0 * s), *_gradient_kernels(g, s)]
+    return [padded_fft_convolution(f.values, k, g.cell_volume) for k in kernels]
+
+
+def _engine(f: GridField, s: float) -> list[np.ndarray]:
+    u = riesz_potential_field(f, 2.0 * s).values
+    return [u, *(c.values for c in riesz_gradient_field(f, s).components)]
+
+
+@pytest.mark.parametrize("N", [64, 128])
+def test_engine_bitwise_equal_to_numpy_reference_in_the_plane(N):
+    f = _smooth_density(Grid(2, 8.0, N))
+    for got, ref in zip(_engine(f, 0.75), _numpy_reference(f, 0.75)):
+        assert np.array_equal(got, ref)
+
+
+def test_engine_matches_numpy_reference_in_space():
+    f = _smooth_density(Grid(3, 8.0, 32))
+    for got, ref in zip(_engine(f, 0.8), _numpy_reference(f, 0.8)):
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n, N", [(2, 64), (3, 16)])
+def test_engine_bitwise_independent_of_worker_count(monkeypatch, n, N):
+    # lower the size cut so these small transforms really use both workers
+    monkeypatch.setattr(riesz, "_PARALLEL_MIN_POINTS", 1)
+    f = _smooth_density(Grid(n, 8.0, N))
+    results = []
+    for count in (1, 2):
+        clear_plan_cache()
+        with fft_workers(count):
+            results.append(_engine(f, 0.75))
+    clear_plan_cache()
+    for a, b in zip(*results):
+        assert np.array_equal(a, b)
+
+
+def test_workers_follow_the_transform_size():
+    with fft_workers(2):
+        assert riesz._workers(riesz._PARALLEL_MIN_POINTS) == 2
+        assert riesz._workers(riesz._PARALLEL_MIN_POINTS - 1) == 1
+    with pytest.raises(ConfigError):
+        with fft_workers(0):
+            pass
+
+
+@pytest.mark.parametrize("n, N", [(2, 64), (3, 16)])
+def test_fused_potential_and_gradient_equal_separate_calls(n, N):
+    f = _smooth_density(Grid(n, 8.0, N))
+    u, grad = riesz_potential_and_gradient_field(f, 0.75)
+    fused = [u.values, *(c.values for c in grad.components)]
+    for a, b in zip(fused, _engine(f, 0.75)):
+        assert np.array_equal(a, b)
 
 
 def test_potential_rejects_negative_density():
