@@ -26,9 +26,6 @@ from .core import (
     Measure,
     Parameters,
     VectorGridField,
-    measure_ball_mass,
-    total_mass,
-    validate_parameters,
 )
 from .diagnostics import (
     DecayFit,
@@ -65,6 +62,7 @@ from .solver import (
     gradient_bound_check,
     picard_solve,
     representation_residual,
+    run_checks,
     sandwich_check,
 )
 from .special import ball_volume, gamma, sphere_surface
@@ -102,7 +100,6 @@ __all__ = [
     "gradient_comparison_constant",
     "lebesgue_norm",
     "marcinkiewicz_quasinorm",
-    "measure_ball_mass",
     "paper_ball_candidate",
     "picard_solve",
     "positivity_check",
@@ -113,11 +110,10 @@ __all__ = [
     "riesz_kernel",
     "riesz_potential_field",
     "riesz_potential_measure",
+    "run_checks",
     "sandwich_check",
     "scale_measure_admissible",
     "sphere_surface",
-    "total_mass",
-    "validate_parameters",
     "weak_residual",
     "weighted_ls_norm",
     "wolff_ratio",

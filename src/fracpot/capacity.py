@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Grid, GridField, Measure, Parameters, measure_ball_mass, total_mass
+from .core import Grid, GridField, Measure, Parameters
 from .errors import (
     AlphaOutOfRange,
     ConfigError,
@@ -101,11 +101,7 @@ def ball_capacity_upper(n: int, alpha: float, p: float, r: float) -> float:
 
 def ball_mask(grid: Grid, x0, r: float) -> np.ndarray:
     """Boolean mask of cell centers strictly inside B_r(x0)."""
-    x0 = np.asarray(x0, dtype=float)
-    d2 = np.zeros(grid.shape)
-    for i, c in enumerate(grid.coords()):
-        d2 = d2 + (c - x0[i]) ** 2
-    return d2 < r * r
+    return grid.dist2(x0) < r * r
 
 
 def paper_ball_candidate(x0, r: float, alpha: float, grid: Grid) -> GridField:
@@ -266,7 +262,7 @@ def wolff_ratio(omega: Measure, params: Parameters, grid: Grid) -> Admissibility
     away from the support, so the max is attained in the near field once
     L >= 4 R, which is enforced here.
     """
-    if total_mass(omega) <= 0.0:
+    if omega.total_mass() <= 0.0:
         raise ZeroMeasure("admissibility ratio of the zero measure")
     if grid.L < 4.0 * omega.support_radius:
         raise ConfigError(
@@ -307,7 +303,7 @@ def check_capacity_domination(
     stored = []
     for center, radius in balls:
         cap = ball_capacity_upper(params.n, alpha, params.p, radius)
-        mass = measure_ball_mass(omega, center, radius)
+        mass = omega.ball_mass(center, radius)
         ratios.append(mass / cap if cap > 0.0 else np.inf if mass > 0.0 else 0.0)
         stored.append((tuple(float(x) for x in center), float(radius)))
     return DominationReport(ratios=tuple(ratios), balls=tuple(stored))

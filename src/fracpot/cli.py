@@ -20,15 +20,13 @@ import numpy as np
 
 from . import __version__
 from .capacity import (
-    ball_capacity_upper,
-    ball_mask,
     estimate_ball_capacity,
     estimate_capacity,
     scale_measure_admissible,
     wolff_ratio,
 )
-from .core import Grid, GridField, Measure, Parameters, VectorGridField, total_mass
-from .diagnostics import decay_fit, diagnostics_report, positivity_check
+from .core import Grid, GridField, Measure, Parameters, VectorGridField
+from .diagnostics import diagnostics_report
 from .errors import (
     ConfigError,
     Diverged,
@@ -36,7 +34,6 @@ from .errors import (
     GridMismatch,
     NotAdmissible,
 )
-from .fraclap import default_test_functions, weak_residual
 from .io import (
     dump_report,
     measure_from_dict,
@@ -46,12 +43,7 @@ from .io import (
     write_measure,
 )
 from .riesz import FFT_BACKEND, available_cpus, fft_worker_count, fft_workers
-from .solver import (
-    constants_ledger,
-    picard_solve,
-    representation_residual,
-    sandwich_check,
-)
+from .solver import CHECK_NAMES, constants_ledger, picard_solve, run_checks
 
 _CONFIG_KEYS = {
     "version",
@@ -66,12 +58,6 @@ _CONFIG_KEYS = {
 }
 _PARAM_KEYS = {"n", "s", "q"}
 _GRID_KEYS = {"L", "N"}
-_CHECK_NAMES = {"weak", "representation", "sandwich", "decay", "positivity"}
-
-# verification thresholds; criterion-level values, fixed rather than knobs
-_WEAK_TOL = 1e-2
-_REPRESENTATION_TOL = 1e-6
-_DECAY_SLOPE_TOL = 0.1
 
 
 def _reject_unknown(d: dict, allowed: set, where: str) -> None:
@@ -94,7 +80,7 @@ def load_config(path: Path | str) -> dict:
     _reject_unknown(raw.get("params", {}), _PARAM_KEYS, "config.params")
     _reject_unknown(raw.get("grid", {}), _GRID_KEYS, "config.grid")
     for name in raw.get("checks", []):
-        if name not in _CHECK_NAMES:
+        if name not in CHECK_NAMES:
             raise ConfigError(f"unknown check {name!r}")
     return raw
 
@@ -130,53 +116,6 @@ def _write_run_meta(outdir: Path, args_threads: int | None) -> None:
     (outdir / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 
 
-def _check_results(
-    u: GridField,
-    grad: VectorGridField,
-    omega: Measure,
-    params: Parameters,
-    checks: list[str],
-) -> tuple[dict, bool]:
-    results: dict = {}
-    ok = True
-    if "weak" in checks:
-        residuals = [
-            weak_residual(u, grad, omega, params, phi)
-            for phi in default_test_functions(u.grid)
-        ]
-        passed = max(residuals) <= _WEAK_TOL
-        results["weak"] = {"residuals": residuals, "tol": _WEAK_TOL, "pass": passed}
-        ok = ok and passed
-    if "representation" in checks:
-        res = representation_residual(u, grad, omega, params)
-        passed = res <= _REPRESENTATION_TOL
-        results["representation"] = {
-            "residual": res,
-            "tol": _REPRESENTATION_TOL,
-            "pass": passed,
-        }
-        ok = ok and passed
-    if "sandwich" in checks:
-        lower_ok, upper = sandwich_check(u, omega, params)
-        results["sandwich"] = {"lower_ok": lower_ok, "upper": upper, "pass": lower_ok}
-        ok = ok and lower_ok
-    if "decay" in checks:
-        fit = decay_fit(u, omega, params)
-        dev = abs(fit.slope - (2.0 * params.s - params.n))
-        passed = dev <= _DECAY_SLOPE_TOL
-        results["decay"] = fit.to_dict() | {"deviation": dev, "pass": passed}
-        ok = ok and passed
-    if "positivity" in checks:
-        min_value, bound_ok = positivity_check(u, omega, params)
-        results["positivity"] = {
-            "min_value": min_value,
-            "lower_bound_ok": bound_ok,
-            "pass": bound_ok,
-        }
-        ok = ok and bound_ok
-    return results, ok
-
-
 def cmd_constants(args) -> int:
     params = Parameters(n=args.n, s=args.s, q=args.q)
     ledger = constants_ledger(params, args.theta)
@@ -195,13 +134,12 @@ def cmd_solve(args) -> int:
 
     scale_factor = 1.0
     if args.auto_scale:
-        scale_factor, scale_report = scale_measure_admissible(
-            omega, theta, params, grid
-        )
+        scale_factor, _ = scale_measure_admissible(omega, theta, params, grid)
         omega = omega.scaled(scale_factor)
 
+    checks = list(config.get("checks", sorted(CHECK_NAMES)))
     u, grad, report = picard_solve(
-        omega, params, grid, theta=theta, tol=tol, max_iter=max_iter
+        omega, params, grid, theta=theta, tol=tol, max_iter=max_iter, checks=checks
     )
 
     write_field(u, outdir / "u.field")
@@ -211,17 +149,14 @@ def cmd_solve(args) -> int:
     # so verify and diagnostics check against the actual datum
     write_measure(omega, outdir / "measure.json")
 
-    checks = list(config.get("checks", sorted(_CHECK_NAMES)))
-    check_results, checks_ok = _check_results(u, grad, omega, params, checks)
     out = report.to_dict()
     out["scale_factor"] = scale_factor
-    out["checks"] = check_results
     out["config_echo"] = config
     dump_report(out, outdir / "report.json")
     _write_run_meta(outdir, args.threads)
     print(f"converged={report.converged} iterations={report.iterations}")
     print(f"report: {outdir / 'report.json'}")
-    return 0 if report.converged and checks_ok else 1
+    return 0 if report.converged and report.checks_ok else 1
 
 
 def cmd_wolff(args) -> int:
@@ -229,7 +164,7 @@ def cmd_wolff(args) -> int:
     params, grid, omega = _build(config, Path(args.config).parent)
     theta = args.theta if args.theta is not None else float(config.get("theta", 0.5))
     if args.auto_scale:
-        t, report = scale_measure_admissible(omega, theta, params, grid)
+        _, report = scale_measure_admissible(omega, theta, params, grid)
     else:
         report = wolff_ratio(omega, params, grid)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -323,8 +258,8 @@ def cmd_verify(args) -> int:
     fields_dir = Path(args.fields)
     u, grad = _read_solution(fields_dir, grid)
     omega = _effective_measure(fields_dir, omega)
-    checks = list(config.get("checks", sorted(_CHECK_NAMES)))
-    results, ok = _check_results(u, grad, omega, params, checks)
+    checks = list(config.get("checks", sorted(CHECK_NAMES)))
+    results, ok = run_checks(u, grad, omega, params, checks)
     outdir = Path(args.out or fields_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     dump_report({"checks": results, "all_pass": ok}, outdir / "verify_report.json")

@@ -8,7 +8,6 @@ piecewise constant on cells and atoms are exact points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,11 +54,6 @@ class Parameters:
         object.__setattr__(self, "p_star", p_star)
 
 
-def validate_parameters(n: int, s: float, q: float) -> Parameters:
-    """Check the standing assumptions and return the derived exponents."""
-    return Parameters(n=n, s=float(s), q=float(q))
-
-
 @dataclass(frozen=True)
 class Grid:
     """Cell-centered uniform grid on [-L, L]^n with N cells per axis."""
@@ -96,21 +90,33 @@ class Grid:
         """Cell centers along one axis: -L + (i + 1/2) h."""
         return -self.L + (np.arange(self.N) + 0.5) * self.h
 
-    def coords(self) -> list[np.ndarray]:
-        """Open (broadcastable) meshgrid of cell-center coordinates."""
-        return list(np.meshgrid(*([self.axis()] * self.n), indexing="ij", sparse=True))
+    def coords(self, block: tuple[slice, ...] | None = None) -> list[np.ndarray]:
+        """Open (broadcastable) meshgrid of cell-center coordinates, or of a block."""
+        axis = self.axis()
+        block = block or (slice(None),) * self.n
+        return list(np.meshgrid(*[axis[b] for b in block], indexing="ij", sparse=True))
 
     def points(self) -> np.ndarray:
         """All cell centers as an (N^n, n) array in row-major order."""
         mesh = np.meshgrid(*([self.axis()] * self.n), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
+    def dist2(self, x0, block: tuple[slice, ...] | None = None) -> np.ndarray:
+        """Squared distance from x0 of every cell center, or of a block's.
+
+        The one place distances on the grid are computed; the per-axis
+        summation order is fixed, so results are reproducible bitwise.
+        """
+        x0 = np.asarray(x0, dtype=float).ravel()
+        coords = self.coords(block)
+        out = np.zeros(np.broadcast_shapes(*[c.shape for c in coords]))
+        for i, c in enumerate(coords):
+            out = out + (c - x0[i]) ** 2
+        return out
+
     def radii(self) -> np.ndarray:
         """Distance of every cell center from the origin, grid-shaped."""
-        out = np.zeros(self.shape)
-        for c in self.coords():
-            out = out + c**2
-        return np.sqrt(out)
+        return np.sqrt(self.dist2(np.zeros(self.n)))
 
     def zeros(self) -> "GridField":
         return GridField(self, np.zeros(self.shape))
@@ -278,10 +284,7 @@ class Measure:
             return float(np.sum(self.weights[dist < r]))
         if self.kind == "density":
             g = self.density.grid
-            dist2 = np.zeros(g.shape)
-            for i, c in enumerate(g.coords()):
-                dist2 = dist2 + (c - x0[i]) ** 2
-            inside = dist2 < r * r
+            inside = g.dist2(x0) < r * r
             return float(np.sum(self.density.values[inside]) * g.cell_volume)
         n = self.dimension
         vol = _ball_intersection_volume(n, self.ball_radius, self.ball_center, r, x0)
@@ -309,18 +312,10 @@ class Measure:
                 raise GridMismatch("density measure lives on a different grid")
             return self.density
         if self.kind == "uniform_ball":
-            dist2 = np.zeros(grid.shape)
-            for i, c in enumerate(grid.coords()):
-                ci = self.ball_center[i] if i < self.ball_center.size else 0.0
-                dist2 = dist2 + (c - ci) ** 2
+            center = np.zeros(grid.n)
+            k = min(grid.n, self.ball_center.size)
+            center[:k] = self.ball_center[:k]
+            dist2 = grid.dist2(center)
             values = np.where(dist2 < self.ball_radius**2, self.ball_amplitude, 0.0)
             return GridField(grid, values)
         raise ValueError("atomic measures are evaluated analytically, not rasterised")
-
-
-def total_mass(measure: Measure) -> float:
-    return measure.total_mass()
-
-
-def measure_ball_mass(measure: Measure, x0: np.ndarray, r: float) -> float:
-    return measure.ball_mass(x0, r)

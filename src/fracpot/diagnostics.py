@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, GridField, Measure, Parameters, total_mass
+from .core import Grid, GridField, Measure, Parameters
 from .errors import AnnulusEmpty, KappaOutOfRange
 from .riesz import riesz_constant
 
@@ -27,8 +27,7 @@ def marcinkiewicz_quasinorm(v: GridField, kappa: float, weight_s: float) -> floa
     The supremum of lambda * mu(|v| > lambda)^(1/kappa) over lambda > 0 is
     attained in the limit lambda -> w- at data values w, so scanning the
     sorted values with suffix-summed weights evaluates it exactly; a fixed
-    logarithmic lambda grid can only undershoot (see quasinorm_grid_value,
-    kept for the sensitivity report).
+    logarithmic lambda grid can only undershoot.
     """
     if kappa <= 1.0:
         raise KappaOutOfRange(f"kappa {kappa} must exceed 1")
@@ -43,35 +42,6 @@ def marcinkiewicz_quasinorm(v: GridField, kappa: float, weight_s: float) -> floa
     suffix = np.cumsum(w[::-1])[::-1]
     keep = mags > 0.0
     return float(np.max(mags[keep] * suffix[keep] ** (1.0 / kappa)))
-
-
-def quasinorm_grid_value(
-    v: GridField, kappa: float, weight_s: float, levels: int = 64
-) -> float:
-    """The same quasinorm restricted to a log lambda-grid around median |v|."""
-    if kappa <= 1.0:
-        raise KappaOutOfRange(f"kappa {kappa} must exceed 1")
-    mags = np.abs(v.values)
-    pivot = float(np.median(mags))
-    if pivot == 0.0:
-        pivot = float(np.max(mags))
-    if pivot == 0.0:
-        return 0.0
-    w = _weights(v.grid, weight_s)
-    lams = pivot * np.logspace(-6.0, 6.0, levels)
-    best = 0.0
-    for lam in lams:
-        mu = float(np.sum(w[mags > lam]))
-        best = max(best, lam * mu ** (1.0 / kappa))
-    return best
-
-
-def marcinkiewicz_sensitivity(v: GridField, kappa: float, weight_s: float) -> float:
-    """Relative gap between the exact quasinorm and the 64-level grid value."""
-    exact = marcinkiewicz_quasinorm(v, kappa, weight_s)
-    if exact == 0.0:
-        return 0.0
-    return (exact - quasinorm_grid_value(v, kappa, weight_s)) / exact
 
 
 def distribution_function(u: GridField, lam: float) -> float:
@@ -157,7 +127,7 @@ def positivity_check(
 ) -> tuple[float, bool]:
     """Minimum of u and the kernel lower bound c (R+|x|)^(2s-n) * mass."""
     grid = u.grid
-    mass = total_mass(omega)
+    mass = omega.total_mass()
     min_value = float(np.min(u.values))
     if mass == 0.0:
         return min_value, bool(min_value >= 0.0)
@@ -180,13 +150,13 @@ def diagnostics_report(
     """Consolidated diagnostics of a solution field."""
     n, s = params.n, params.s
     kappa_u = n / (n - 2.0 * s)
+    mass = omega.total_mass()
     report: dict = {
         "marcinkiewicz": {
             "u": marcinkiewicz_quasinorm(u, kappa_u, s),
             "u_kappa": kappa_u,
-            "lambda_grid_sensitivity": marcinkiewicz_sensitivity(u, kappa_u, s),
         },
-        "total_mass": total_mass(omega),
+        "total_mass": mass,
     }
     if grad_mag is not None:
         report["marcinkiewicz"]["grad"] = marcinkiewicz_quasinorm(
@@ -194,7 +164,6 @@ def diagnostics_report(
         )
         report["marcinkiewicz"]["grad_kappa"] = params.p_star
         combined = report["marcinkiewicz"]["u"] + report["marcinkiewicz"]["grad"]
-        mass = total_mass(omega)
         report["marcinkiewicz"]["combined_over_mass"] = (
             combined / mass if mass > 0.0 else 0.0
         )

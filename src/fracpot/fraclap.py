@@ -61,10 +61,7 @@ class TestFunction:
     def on_grid(self, grid: Grid) -> GridField:
         if len(self.center) != grid.n:
             raise GridMismatch("test function center dimension does not match grid")
-        center = np.asarray(self.center, dtype=float)
-        r2 = np.zeros(grid.shape)
-        for i, c in enumerate(grid.coords()):
-            r2 = r2 + (c - center[i]) ** 2
+        r2 = grid.dist2(self.center)
         r2 /= self.width**2
         if self.kind == "gaussian":
             vals = self.amplitude * np.exp(-0.5 * r2)

@@ -234,7 +234,7 @@ def atom_quadrature_correction(
         block.append(slice(lo, hi))
         crop.append(slice(lo - start, hi - start))
     block = tuple(block)
-    r = _atom_distances(grid, atom, block)
+    r = np.sqrt(grid.dist2(atom, block))
     scaled = averages[tuple(crop)] * grid.h ** (alpha - n)
     return block, scaled - _atom_kernel_samples(grid, r, alpha)
 
@@ -411,20 +411,6 @@ def riesz_potential_and_gradient_field(
     return u, VectorGridField(f.grid, tuple(grad))
 
 
-def _atom_distances(
-    grid: Grid, atom: np.ndarray, block: tuple[slice, ...] | None = None
-) -> np.ndarray:
-    """Distances from atom to the cell centers of the grid, or of a block of it."""
-    axis = grid.axis()
-    if block is None:
-        block = (slice(None),) * grid.n
-    coords = np.meshgrid(*[axis[b] for b in block], indexing="ij", sparse=True)
-    d2 = np.zeros(np.broadcast_shapes(*[c.shape for c in coords]))
-    for i, c in enumerate(coords):
-        d2 = d2 + (c - atom[i]) ** 2
-    return np.sqrt(d2)
-
-
 def _atom_kernel_samples(grid: Grid, r: np.ndarray, alpha: float) -> np.ndarray:
     """Kernel at distances r from a unit atom; singular-cell average where r ~ 0."""
     hit = r < 1e-12 * grid.h
@@ -444,7 +430,7 @@ def riesz_potential_measure(measure: Measure, alpha: float, grid: Grid) -> GridF
     if measure.kind == "atomic":
         out = np.zeros(grid.shape)
         for atom, w in zip(measure.atoms, measure.weights):
-            out += w * _atom_kernel_samples(grid, _atom_distances(grid, atom), alpha)
+            out += w * _atom_kernel_samples(grid, np.sqrt(grid.dist2(atom)), alpha)
         return GridField(grid, out)
     return riesz_potential_field(measure.as_density(grid), alpha)
 
@@ -459,7 +445,7 @@ def riesz_gradient_measure(measure: Measure, s: float, grid: Grid) -> VectorGrid
         coords = grid.coords()
         tiny = 1e-12 * grid.h
         for atom, w in zip(measure.atoms, measure.weights):
-            r = _atom_distances(grid, atom)
+            r = np.sqrt(grid.dist2(atom))
             hit = r < tiny
             r_safe = np.where(hit, 1.0, r)
             radial = factor * r_safe ** (2.0 * s - n - 2.0)

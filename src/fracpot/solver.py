@@ -6,18 +6,23 @@ constant in that statement is computable from (n, s, q, theta).  The ledger
 carries them all; delta collapses to theta algebraically when the operative
 ratio bound is set to theta times its threshold, so the measured increment
 ratios of a run can be compared directly against the requested theta.
+
+run_checks is the one a-posteriori check path: picard_solve calls it once on
+its final fields, and the CLI's verify calls it on stored fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Collection
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .capacity import c1_threshold, wolff_ratio
-from .core import Grid, GridField, Measure, Parameters, VectorGridField, total_mass
+from .core import Grid, GridField, Measure, Parameters, VectorGridField
+from .diagnostics import decay_fit, positivity_check
 from .errors import Diverged, NotAdmissible, ThetaOutOfRange
-from .fraclap import TestFunction, default_test_functions, weak_residual
+from .fraclap import default_test_functions, weak_residual
 from .riesz import (
     gradient_comparison_constant,
     riesz_gradient_measure,
@@ -25,6 +30,14 @@ from .riesz import (
     riesz_potential_field,
     riesz_potential_measure,
 )
+
+CHECK_NAMES = {"weak", "representation", "sandwich", "decay", "positivity"}
+DEFAULT_CHECKS = ("weak", "representation", "sandwich")
+
+# verification thresholds; criterion-level values, fixed rather than knobs
+_WEAK_TOL = 1e-2
+_REPRESENTATION_TOL = 1e-6
+_DECAY_SLOPE_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -51,17 +64,7 @@ class ConstantsLedger:
     a_limit: float
 
     def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "c_grad": self.c_grad,
-            "c1_threshold": self.c1_threshold,
-            "c1": self.c1,
-            "c_grad_uniform": self.c_grad_uniform,
-            "c_grad_step": self.c_grad_step,
-            "c_step": self.c_step,
-            "contraction": self.contraction,
-            "a_limit": self.a_limit,
-        }
+        return asdict(self)
 
 
 def constants_ledger(params: Parameters, theta: float) -> ConstantsLedger:
@@ -97,8 +100,15 @@ def constants_ledger(params: Parameters, theta: float) -> ConstantsLedger:
     )
 
 
+def _check_value(check: str, key: str, default) -> property:
+    """Read-only view of one value of a report's run_checks pass."""
+    return property(lambda self: self.checks.get(check, {}).get(key, default))
+
+
 @dataclass
 class SolveReport:
+    """Iteration history and the one run_checks pass on the final fields."""
+
     converged: bool = False
     iterations: int = 0
     sup_u: list = field(default_factory=list)
@@ -106,13 +116,17 @@ class SolveReport:
     sup_gradient_increment: list = field(default_factory=list)
     increment_ratios: list = field(default_factory=list)
     first_increment: float = 0.0
-    representation_residual: float = float("nan")
-    sandwich_lower_ok: bool = False
-    sandwich_upper: float = float("nan")
     gradient_bound_ratio: float = float("nan")
-    weak_residuals: list = field(default_factory=list)
+    checks: dict = field(default_factory=dict)
+    checks_ok: bool = False
     admissibility: dict = field(default_factory=dict)
     ledger: dict = field(default_factory=dict)
+
+    # views of checks, never recomputed; to_dict serialises checks alone
+    representation_residual = _check_value("representation", "residual", float("nan"))
+    sandwich_lower_ok = _check_value("sandwich", "lower_ok", False)
+    sandwich_upper = _check_value("sandwich", "upper", float("nan"))
+    weak_residuals = _check_value("weak", "residuals", ())
 
     def to_dict(self) -> dict:
         return {
@@ -123,11 +137,8 @@ class SolveReport:
             "sup_gradient_increment": list(self.sup_gradient_increment),
             "increment_ratios": list(self.increment_ratios),
             "first_increment": self.first_increment,
-            "representation_residual": self.representation_residual,
-            "sandwich_lower_ok": self.sandwich_lower_ok,
-            "sandwich_upper": self.sandwich_upper,
             "gradient_bound_ratio": self.gradient_bound_ratio,
-            "weak_residuals": list(self.weak_residuals),
+            "checks": dict(self.checks),
             "admissibility": dict(self.admissibility),
             "ledger": dict(self.ledger),
         }
@@ -168,6 +179,54 @@ def gradient_bound_check(
     return float(np.max(mag[keep] / v[keep])) if keep.any() else 0.0
 
 
+def run_checks(
+    u: GridField,
+    grad: VectorGridField,
+    omega: Measure,
+    params: Parameters,
+    names: Collection[str],
+) -> tuple[dict, bool]:
+    """The named a-posteriori checks of a solution, and whether all pass."""
+    results: dict = {}
+    ok = True
+    if "weak" in names:
+        residuals = [
+            weak_residual(u, grad, omega, params, phi)
+            for phi in default_test_functions(u.grid)
+        ]
+        passed = bool(max(residuals) <= _WEAK_TOL)
+        results["weak"] = {"residuals": residuals, "tol": _WEAK_TOL, "pass": passed}
+        ok = ok and passed
+    if "representation" in names:
+        res = representation_residual(u, grad, omega, params)
+        passed = res <= _REPRESENTATION_TOL
+        results["representation"] = {
+            "residual": res,
+            "tol": _REPRESENTATION_TOL,
+            "pass": passed,
+        }
+        ok = ok and passed
+    if "sandwich" in names:
+        lower_ok, upper = sandwich_check(u, omega, params)
+        results["sandwich"] = {"lower_ok": lower_ok, "upper": upper, "pass": lower_ok}
+        ok = ok and lower_ok
+    if "decay" in names:
+        fit = decay_fit(u, omega, params)
+        dev = abs(fit.slope - (2.0 * params.s - params.n))
+        passed = dev <= _DECAY_SLOPE_TOL
+        results["decay"] = fit.to_dict() | {"deviation": dev, "pass": passed}
+        ok = ok and passed
+    if "positivity" in names:
+        min_value, bound_ok = positivity_check(u, omega, params)
+        results["positivity"] = {
+            "min_value": min_value,
+            "lower_bound_ok": bound_ok,
+            "pass": bound_ok,
+        }
+        ok = ok and bound_ok
+    return results, ok
+
+
 def picard_solve(
     omega: Measure,
     params: Parameters,
@@ -175,7 +234,7 @@ def picard_solve(
     theta: float = 0.5,
     tol: float = 1e-8,
     max_iter: int = 200,
-    test_functions: list[TestFunction] | None = None,
+    checks: Collection[str] = DEFAULT_CHECKS,
 ) -> tuple[GridField, VectorGridField, SolveReport]:
     """Iterate u_{k+1} = I_2s(|grad u_k|^q dx) + I_2s(omega) to its fixed point.
 
@@ -183,25 +242,36 @@ def picard_solve(
     combined datum, never from finite differences, so the gradient bounds that
     drive the contraction argument hold discretely as well.  The measure must
     already satisfy the admissibility bound for the requested theta; scaling
-    is deliberately not done here (see scale_measure_admissible).
+    is deliberately not done here (see scale_measure_admissible).  The named
+    checks run once on the final fields through run_checks, the only check
+    path, and land in report.checks and report.checks_ok.
     """
     ledger = constants_ledger(params, theta)
     report = SolveReport(ledger=ledger.to_dict())
 
-    if total_mass(omega) == 0.0:
+    if omega.total_mass() == 0.0:
+        # u = 0 solves the problem exactly: no guard, no iteration
         u = grid.zeros()
         grad = VectorGridField(grid, tuple(grid.zeros() for _ in range(grid.n)))
         report.converged = True
         report.iterations = 1
-        report.representation_residual = 0.0
-        report.sandwich_lower_ok = True
-        report.sandwich_upper = 1.0
-        report.gradient_bound_ratio = 0.0
-        report.weak_residuals = [0.0] * len(
-            test_functions if test_functions is not None else default_test_functions(grid)
-        )
-        return u, grad, report
+    else:
+        u, grad = _iterate(omega, params, grid, ledger, tol, max_iter, report)
+    report.checks, report.checks_ok = run_checks(u, grad, omega, params, checks)
+    report.gradient_bound_ratio = gradient_bound_check(grad, omega, params)
+    return u, grad, report
 
+
+def _iterate(
+    omega: Measure,
+    params: Parameters,
+    grid: Grid,
+    ledger: ConstantsLedger,
+    tol: float,
+    max_iter: int,
+    report: SolveReport,
+) -> tuple[GridField, VectorGridField]:
+    """The admissibility guard and the Picard loop; history goes to report."""
     adm = wolff_ratio(omega, params, grid)
     report.admissibility = adm.to_dict()
     if adm.c1_hat > ledger.c1 * (1.0 + 1e-12):
@@ -264,15 +334,4 @@ def picard_solve(
 
     report.converged = converged
     report.iterations = iterations
-    report.representation_residual = representation_residual(
-        u_field, grad_field, omega, params
-    )
-    report.sandwich_lower_ok, report.sandwich_upper = sandwich_check(
-        u_field, omega, params
-    )
-    report.gradient_bound_ratio = gradient_bound_check(grad_field, omega, params)
-    family = test_functions if test_functions is not None else default_test_functions(grid)
-    report.weak_residuals = [
-        weak_residual(u_field, grad_field, omega, params, phi) for phi in family
-    ]
-    return u_field, grad_field, report
+    return u_field, grad_field

@@ -189,3 +189,21 @@ def disk_intersection_area(d: float, r1: float, r2: float) -> float:
 
 def bessel_j(nu: float, x: np.ndarray) -> np.ndarray:
     return jv(nu, x)
+
+
+def quasinorm_grid_value(v, kappa: float, weight_s: float, levels: int = 64) -> float:
+    """Weak-type quasinorm sup_lambda lambda mu(|v| > lambda)^(1/kappa), with
+    lambda restricted to a log grid around the median of |v|.
+
+    mu is dx / (1 + |x|^(n + 2 weight_s)).  The exact supremum is attained
+    just below a data value, which a fixed grid can miss, so this value can
+    only undershoot the exact one.
+    """
+    g = v.grid
+    mags = np.abs(v.values)
+    pivot = float(np.median(mags)) or float(np.max(mags))
+    if pivot == 0.0:
+        return 0.0
+    w = g.cell_volume / (1.0 + g.radii() ** (g.n + 2.0 * weight_s))
+    lams = pivot * np.logspace(-6.0, 6.0, levels)
+    return max(lam * float(np.sum(w[mags > lam])) ** (1.0 / kappa) for lam in lams)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fracpot
 from fracpot.cli import load_config, main
 from fracpot.io import read_field, write_field
 from fracpot.riesz import available_cpus
@@ -119,6 +120,71 @@ def test_cli_import_does_not_load_scipy_signal():
     code = "import sys, fracpot.cli; sys.exit('scipy.signal' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap each named fracpot function wherever a fracpot module binds it."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(fracpot, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.split(".")[0] != "fracpot":
+                continue
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_solve_runs_each_check_once(tmp_path, monkeypatch):
+    counts = _count_calls(
+        monkeypatch, "weak_residual", "representation_residual", "sandwich_check"
+    )
+    cfg = _write_config(tmp_path / "run.json")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out), "--auto-scale"]) == 0
+    # one pass of the five default test functions, one of each other check
+    assert counts == {
+        "weak_residual": 5,
+        "representation_residual": 1,
+        "sandwich_check": 1,
+    }
+    report = json.loads((out / "report.json").read_text())
+    for key in (
+        "representation_residual",
+        "sandwich_lower_ok",
+        "sandwich_upper",
+        "weak_residuals",
+    ):
+        assert key not in report
+    # verify recomputes the checks on the stored fields through the same path
+    assert main(["verify", "--config", str(cfg), "--fields", str(out)]) == 0
+    verify = json.loads((out / "verify_report.json").read_text())
+    assert report["checks"] == verify["checks"]
+
+
+def test_solve_with_an_atomic_datum_writes_its_report(tmp_path):
+    # weak residuals of an atomic datum are numpy floats; the pass flags
+    # must still be plain JSON booleans
+    cfg = _write_config(
+        tmp_path / "atom.json",
+        grid={"L": 8.0, "N": 64},
+        measure={
+            "kind": "atomic",
+            "atoms": [{"x": [0.0, 0.0], "w": 0.001}],
+            "support_radius": 0.5,
+        },
+        checks=["weak", "sandwich"],
+    )
+    out = tmp_path / "out"
+    main(["solve", "--config", str(cfg), "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    assert isinstance(report["checks"]["weak"]["pass"], bool)
+    assert report["checks"]["sandwich"]["pass"] is True
 
 
 def test_threads_below_one_is_a_config_error(capsys):

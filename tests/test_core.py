@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracpot import Grid, GridField, Measure, Parameters, validate_parameters
+from fracpot import Grid, GridField, Measure, Parameters
 from fracpot.errors import (
     DimensionTooLow,
     NegativeDensity,
@@ -45,9 +45,17 @@ def test_parameters_rejects_subcritical_exponent():
     Parameters(2, 0.75, 4.0 / 3.0 + 1e-9)
 
 
-def test_validate_parameters_returns_parameters():
-    p = validate_parameters(2, 0.75, 2.0)
-    assert isinstance(p, Parameters)
+def test_dist2_is_the_per_axis_sum_on_the_grid_and_on_blocks():
+    g = Grid(3, 2.0, 8)
+    x0 = np.array([0.3, -0.1, 0.7])
+    X, Y, Z = g.coords()
+    ref = ((X - x0[0]) ** 2 + (Y - x0[1]) ** 2) + (Z - x0[2]) ** 2
+    d2 = g.dist2(x0)
+    assert d2.shape == g.shape
+    assert np.array_equal(d2, ref)
+    block = (slice(1, 4), slice(0, 8), slice(5, 7))
+    assert np.array_equal(g.dist2(x0, block), ref[block])
+    assert np.array_equal(g.radii(), np.sqrt(X**2 + Y**2 + Z**2))
 
 
 @given(

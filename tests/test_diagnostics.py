@@ -18,12 +18,10 @@ from fracpot import (
     riesz_constant,
     riesz_potential_measure,
 )
-from fracpot.diagnostics import (
-    atom_level_window,
-    marcinkiewicz_sensitivity,
-    quasinorm_grid_value,
-)
+from fracpot.diagnostics import atom_level_window
 from fracpot.errors import AnnulusEmpty, KappaOutOfRange
+
+from oracles import quasinorm_grid_value
 
 PARAMS = Parameters(2, 0.75, 2.0)
 
@@ -64,23 +62,15 @@ def test_quasinorm_rejects_kappa_at_or_below_one():
     for kappa in (1.0, 0.5, -2.0):
         with pytest.raises(KappaOutOfRange):
             marcinkiewicz_quasinorm(g.zeros(), kappa, 0.75)
-        with pytest.raises(KappaOutOfRange):
-            quasinorm_grid_value(g.zeros(), kappa, 0.75)
 
 
 def test_lambda_grid_can_only_undershoot(atom_potential):
-    # the fixed log grid skips the maximising lambda; the exact scan is the
-    # reference and the sensitivity quantifies the gap (about 20 percent for
-    # a constant field, where all mass sits at one jump)
+    # a fixed log lambda grid skips the maximising lambda, so the exact scan
+    # must dominate it
     _, u0 = atom_potential
     assert quasinorm_grid_value(u0, 4.0, 0.75) <= marcinkiewicz_quasinorm(
         u0, 4.0, 0.75
     )
-    g = Grid(2, 8.0, 128)
-    const = GridField(g, np.ones(g.shape))
-    sens = marcinkiewicz_sensitivity(const, 4.0, 0.75)
-    assert 0.1 <= sens <= 0.5
-    assert marcinkiewicz_sensitivity(u0, 4.0, 0.75) <= 0.1
 
 
 def test_atom_potential_quasinorm_finite_at_critical_kappa(atom_potential):
@@ -195,7 +185,7 @@ def test_diagnostics_report_structure(reference_run):
     assert mar["u_kappa"] == pytest.approx(4.0)
     assert mar["grad_kappa"] == pytest.approx(4.0 / 3.0)
     assert mar["combined_over_mass"] > 0.0
-    assert 0.0 <= mar["lambda_grid_sensitivity"] <= 0.5
+    assert "lambda_grid_sensitivity" not in mar
     assert rep["decay"]["slope"] == pytest.approx(-0.5, abs=0.1)
     assert rep["positivity"]["lower_bound_ok"]
     # the superlevel slope and the conjugate weak-type exponent are distinct

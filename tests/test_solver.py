@@ -78,6 +78,14 @@ def test_solve_zero_measure_returns_zero():
     assert rep.converged
     assert np.all(u.values == 0.0)
     assert np.all(grad.magnitude().values == 0.0)
+    # the shortcut skips the loop, not the checks: one run_checks pass
+    assert set(rep.checks) == {"weak", "representation", "sandwich"}
+    assert rep.checks["weak"]["residuals"] == [0.0] * 5
+    assert rep.checks["representation"]["residual"] == 0.0
+    assert rep.checks["sandwich"]["lower_ok"] is True
+    assert rep.checks["sandwich"]["upper"] == 1.0
+    assert rep.gradient_bound_ratio == 0.0
+    assert rep.checks_ok
 
 
 def test_solve_rejects_inadmissible_measure():
