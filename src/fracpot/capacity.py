@@ -3,11 +3,21 @@
 cap_{alpha,p}(E) = inf { h^n sum u^p : u >= 0, I_alpha(u) >= 1 on E }.
 
 Two routes are provided: the closed-form upper bound for balls carried by an
-explicit feasible candidate, and a projected-gradient minimizer over gridded
-densities.  The admissibility side measures the ratio
-I_{2s-1}([I_{2s-1}(omega)]^q) / I_{2s-1}(omega) over the box and rescales a
-measure until the ratio falls under a requested fraction of the threshold
-(q')^(1-q) q^(-1) C0^(-q).
+explicit feasible candidate, and a certified estimator over gridded densities.
+The estimator maximises the Lagrangian dual (Adams & Hedberg, Function Spaces
+and Potential Theory, section 2.5) over lambda >= 0 on E,
+
+    g(lambda) = h^n [sum_E lambda - (p - 1) sum (max(I_alpha lambda, 0) / p)^p'],
+
+whose inner minimiser is u(lambda) = (max(I_alpha lambda, 0) / p)^(1/(p-1))
+and whose gradient is h^n (1 - I_alpha u(lambda)) on E, the discrete I_alpha
+being symmetric.  Every g(lambda) is a lower bound on the capacity and every
+u / min_E I_alpha u an upper bound, so each estimate comes with a bracket
+whose relative width is the stopping test.
+
+The admissibility side measures the ratio I_{2s-1}([I_{2s-1}(omega)]^q) /
+I_{2s-1}(omega) over the box and rescales a measure until the ratio falls
+under a requested fraction of the threshold (q')^(1-q) q^(-1) C0^(-q).
 
 Convention: omega_n below is the surface measure of the unit sphere,
 2 pi^(n/2) / Gamma(n/2).  With that reading the ball bound at n=2, alpha=1/2,
@@ -31,8 +41,13 @@ from .errors import (
     ThetaOutOfRange,
     ZeroMeasure,
 )
-from .riesz import riesz_constant, riesz_potential_field, riesz_potential_measure
-from .special import ball_volume, sphere_surface
+from .riesz import (
+    gradient_comparison_constant,
+    riesz_constant,
+    riesz_potential_field,
+    riesz_potential_measure,
+)
+from .special import sphere_surface
 
 
 @dataclass(frozen=True)
@@ -40,6 +55,7 @@ class CapacityEstimate:
     value: float
     upper_bound: float
     candidate: GridField
+    lower_bound: float
     analytic_ball_bound: float | None = None
     iterations: int = 0
     feasibility_gap: float = 0.0
@@ -47,6 +63,8 @@ class CapacityEstimate:
     def __post_init__(self) -> None:
         if self.value > self.upper_bound * (1.0 + 1e-12):
             raise ValueError("estimate exceeds its own feasible upper bound")
+        if self.lower_bound > self.value * (1.0 + 1e-12):
+            raise ValueError("dual lower bound exceeds the estimate")
 
 
 @dataclass(frozen=True)
@@ -112,10 +130,6 @@ def paper_ball_candidate(x0, r: float, alpha: float, grid: Grid) -> GridField:
     return GridField(grid, vals)
 
 
-def _mask_min(field: np.ndarray, mask: np.ndarray) -> float:
-    return float(np.min(field[mask]))
-
-
 def estimate_capacity(
     mask: np.ndarray,
     alpha: float,
@@ -124,119 +138,105 @@ def estimate_capacity(
     tol: float = 1e-6,
     max_iter: int = 5000,
 ) -> CapacityEstimate:
-    """Projected-gradient minimization of h^n sum u^p with I_alpha(u) >= 1 on E.
+    """Capacity of the cells in mask, bracketed by the dual and the primal.
 
-    The constraint enters through the penalty mu * h^n sum_E max(0, 1 - Au)^2;
-    mu escalates when progress stalls while infeasible.  Every candidate is
-    also polished by exact rescaling u / min_E(Au), and the best feasible
-    objective seen is what gets reported, so the returned value is certified
-    by an actually feasible density regardless of where the iteration stops.
-    The problem is convex for p > 1, so stationarity is global up to
-    discretization.
+    Projected FISTA (Beck & Teboulle 2009) maximises the dual g with a
+    backtracking step and restarts its momentum whenever g decreases.  Each
+    extrapolated y gives the upper bound of u(y) / min_E I_alpha u(y); the
+    best g(lambda) is the lower bound.  The loop stops once the relative gap
+    (upper - lower) / upper is at most tol, and raises NotConverged with the
+    bracket when max_iter runs out or the iterate stops moving.  The primal
+    bound is only about as accurate as the square root of the dual's, so a
+    tol below about 1e-8 ends in the latter once the dual has converged.
+
+    It runs on the unit-spacing grid Grid(n, N/2, N): I_alpha is homogeneous
+    of degree alpha in h, so the candidate maps back as h^(-alpha) u and the
+    bounds as h^(n - alpha p) times theirs, and self-similar problems run
+    identical iterations.  On the caller's grid the candidate is divided by
+    min_E I_alpha u where that is below 1 and measured again; value is its
+    h^n sum u^p.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != grid.shape:
         raise ConfigError("mask shape does not match grid")
     if not mask.any():
         raise EmptySet("capacity of the empty set is trivially zero")
-    hn = grid.cell_volume
+    unit = Grid(grid.n, grid.N / 2.0, grid.N)
+    scale = grid.h ** (grid.n - alpha * p)
 
-    def potential(vals: np.ndarray) -> np.ndarray:
-        if not vals.any():  # the deficit of a feasible candidate
-            return np.zeros_like(vals)
-        return riesz_potential_field(GridField(grid, vals), alpha).values
+    def potential(vals: np.ndarray, on: Grid = unit) -> np.ndarray:
+        return riesz_potential_field(GridField(on, vals), alpha).values
 
-    def objective(vals: np.ndarray) -> float:
-        return float(hn * np.sum(vals**p))
+    def primal(k_lam: np.ndarray) -> np.ndarray:
+        return (np.maximum(k_lam, 0.0) / p) ** (1.0 / (p - 1.0))
 
-    # equivalent-ball candidate on E, rescaled to exact feasibility
-    count = int(mask.sum())
-    r_eq = (count * hn / ball_volume(grid.n)) ** (1.0 / grid.n)
-    c = riesz_constant(grid.n, alpha)
-    height = 2.0 ** (grid.n - alpha) / (c * sphere_surface(grid.n) * r_eq**alpha)
-    u = np.where(mask, height, 0.0)
-    a_min = _mask_min(potential(u), mask)
-    if a_min <= 0.0:
-        raise NotConverged("initial candidate generates no potential on E")
-    u = u / a_min
-    au = potential(u)
+    def dual(lam: np.ndarray, k_lam: np.ndarray) -> float:
+        return float(np.sum(lam) - (p - 1.0) * np.sum(primal(k_lam) ** p))
 
-    upper = objective(u)
-    best_val = upper
-    best_u, best_au = u.copy(), au
+    def bracket() -> str:
+        return f"capacity in [{lower * scale:.10g}, {best_val * scale:.10g}]"
 
-    mu = 10.0
-    # beyond this the penalty term saturates double precision long before it
-    # changes the minimiser at tol-level feasibility
-    mu_max = 1e12
-    step = 1.0
-    prev_obj = upper
-    stall = 0
-    it = 0
+    # the equivalent-ball candidate is a multiple of the indicator of E, so
+    # its polished form is 1_E / min_E I_alpha 1_E; the best multiple of
+    # 1_E is also the dual's starting point, in closed form
+    ind = mask.astype(float)
+    k_ind = potential(ind)
+    best_u = ind / float(np.min(k_ind[mask]))  # the kernel is positive
+    upper = best_val = float(np.sum(best_u**p))
+    c = (np.sum(ind) / (p * np.sum(primal(k_ind) ** p))) ** (p - 1.0)
+    lam = lam_prev = c * ind
+    k_lam = k_prev = c * k_ind
+    lower = g_lam = dual(lam, k_lam)
+    # first step: the inverse Rayleigh quotient of -g's Hessian along 1_E
+    step = float((p - 1.0) * c * np.sum(ind) / np.sum(primal(k_lam) * k_ind))
+    t = 1.0
     for it in range(1, max_iter + 1):
-        deficit = np.where(mask, np.maximum(0.0, 1.0 - au), 0.0)
-        grad = hn * (p * u ** (p - 1.0) - 2.0 * mu * potential(deficit))
-        scale = float(np.max(np.abs(grad)))
-        if scale == 0.0:
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        y = lam + beta * (lam - lam_prev)
+        k_y = k_lam + beta * (k_lam - k_prev)
+        u = primal(k_y)
+        k_u = potential(u)
+        m = float(np.min(k_u[mask]))
+        if m > 0.0 and np.sum((u / m) ** p) < best_val:
+            best_u, best_val = u / m, float(np.sum((u / m) ** p))
+        if best_val - lower <= tol * best_val:
             break
-        # steps measured relative to the candidate's own height keep the
-        # trajectory equivariant under ball rescaling
-        u_scale = float(np.max(u))
-        if u_scale == 0.0:
-            u_scale = 1.0
-        phi0 = objective(u) + mu * hn * float(np.sum(deficit**2))
-        trial_step = step
-        rejected = u  # a trial equal to it would be rejected again
-        for _ in range(30):
-            cand = np.maximum(0.0, u - trial_step * u_scale / scale * grad)
-            if not np.array_equal(cand, rejected):
-                au_c = potential(cand)
-                def_c = np.where(mask, np.maximum(0.0, 1.0 - au_c), 0.0)
-                phi_c = objective(cand) + mu * hn * float(np.sum(def_c**2))
-                if phi_c < phi0:
-                    break
-                rejected = cand
-            trial_step *= 0.5
-        else:
-            trial_step = 0.0
-        if trial_step == 0.0:
-            if mu >= mu_max:
+        grad = np.where(mask, 1.0 - k_u, 0.0)
+        g_y, floor, trial = dual(y, k_y), np.maximum(y, 0.0), None
+        while True:
+            new = np.maximum(y + step * grad, 0.0)
+            if np.array_equal(new, floor):
+                raise NotConverged(f"iterate stuck after {it} iterations; {bracket()}")
+            if trial is None or not np.array_equal(new, trial):
+                trial, k_new = new, potential(new)
+                g_new = dual(new, k_new)
+            d = new - y
+            if g_new >= g_y + np.sum(grad * d) - np.sum(d * d) / (2.0 * step):
                 break
-            mu *= 10.0
-            stall = 0
-            continue
-        u, au = cand, au_c
-        step = min(trial_step * 2.0, 1e6)
+            step *= 0.5
+        if g_new < g_lam:
+            t_next = 1.0
+        lam_prev, k_prev, lam, k_lam, g_lam = lam, k_lam, new, k_new, g_new
+        lower, t = max(lower, g_new), t_next
+        # the curvature along the iterates falls well below its value at the
+        # start, so the step may grow again after each accepted move
+        step *= 1.5
+    else:
+        raise NotConverged(f"gap open after {max_iter} iterations; {bracket()}")
 
-        feas_min = _mask_min(au_c, mask)
-        if feas_min > 0.0:
-            polished = objective(u / feas_min)
-            if feas_min >= 1.0 - tol and objective(u) < best_val:
-                best_val = objective(u)
-                best_u, best_au = u.copy(), au
-            elif polished < best_val:
-                best_val = polished
-                best_u, best_au = u / feas_min, None
-        obj = objective(u)
-        if feas_min >= 1.0 - tol and abs(prev_obj - obj) <= 1e-8 * max(obj, 1e-300):
-            stall += 1
-            if stall >= 50:
-                break
-        else:
-            stall = 0
-        if feas_min < 1.0 - tol and abs(prev_obj - obj) <= 1e-10 * max(obj, 1e-300):
-            mu = min(mu * 10.0, mu_max)
-        prev_obj = obj
-
-    gap = 1.0 - _mask_min(potential(best_u) if best_au is None else best_au, mask)
-    if gap > tol:
-        raise NotConverged(f"feasibility gap {gap:.2e} after {it} iterations")
+    cand = best_u * grid.h ** (-alpha)
+    m = float(np.min(potential(cand, grid)[mask]))
+    if m < 1.0:
+        cand = cand / m
+        m = float(np.min(potential(cand, grid)[mask]))
     return CapacityEstimate(
-        value=best_val,
-        upper_bound=upper,
-        candidate=GridField(grid, best_u),
+        value=grid.cell_volume * float(np.sum(cand**p)),
+        upper_bound=upper * scale,
+        lower_bound=lower * scale,
+        candidate=GridField(grid, cand),
         iterations=it,
-        feasibility_gap=max(gap, 0.0),
+        feasibility_gap=max(0.0, 1.0 - m),
     )
 
 
@@ -249,8 +249,6 @@ def estimate_ball_capacity(
 
 
 def c1_threshold(params: Parameters) -> float:
-    from .riesz import gradient_comparison_constant
-
     c0 = gradient_comparison_constant(params.n, params.s)
     return params.p ** (1.0 - params.q) / params.q * c0 ** (-params.q)
 

@@ -223,6 +223,7 @@ def cmd_capacity(args) -> int:
     payload = {
         "value": est.value,
         "upper_bound": est.upper_bound,
+        "lower_bound": est.lower_bound,
         "analytic_ball_bound": est.analytic_ball_bound,
         "iterations": est.iterations,
         "feasibility_gap": est.feasibility_gap,

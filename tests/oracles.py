@@ -11,6 +11,8 @@ import itertools
 
 import numpy as np
 from scipy.integrate import dblquad, tplquad
+from scipy.linalg import cholesky, solve_triangular
+from scipy.optimize import nnls
 from scipy.signal import convolve
 from scipy.special import gamma, j0, jv, zeta
 
@@ -135,14 +137,12 @@ def riesz_cell_average_quad(n: int, alpha: float, offset) -> float:
     return c * total
 
 
-def riesz_direct_sum(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    """I_alpha of a gridded density by explicit summation over all cell pairs.
+def _direct_kernel(n: int, N: int, h: float, alpha: float) -> np.ndarray:
+    """The kernel c |x|^(alpha - n) at the offsets -(N-1)..N-1 per axis.
 
-    The kernel c |x - y|^(alpha - n) is sampled at cell-centre offsets; the
-    singular offset-zero cell takes the kernel's average over the ball with
-    the volume of one cell.  O(N^(2n)) work, so only for small grids.
+    The singular offset-zero cell takes the kernel's average over the ball
+    with the volume of one cell.
     """
-    n, N = values.ndim, values.shape[0]
     c = np.pi ** (-n / 2.0) * 2.0**-alpha * gamma((n - alpha) / 2.0) / gamma(alpha / 2.0)
     off = np.arange(-(N - 1), N) * h
     mesh = np.meshgrid(*([off] * n), indexing="ij", sparse=True)
@@ -154,7 +154,40 @@ def riesz_direct_sum(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
     sphere_surface = 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
     rho = h * ball_volume ** (-1.0 / n)
     kern[centre] = c * sphere_surface * rho**alpha / (alpha * h**n)
+    return kern
+
+
+def riesz_direct_sum(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
+    """I_alpha of a gridded density by explicit summation over all cell pairs.
+
+    O(N^(2n)) work, so only for small grids.
+    """
+    n, N = values.ndim, values.shape[0]
+    kern = _direct_kernel(n, N, h, alpha)
     return convolve(values, kern, mode="same", method="direct") * h**n
+
+
+def capacity_qp_oracle(mask: np.ndarray, h: float, alpha: float) -> float:
+    """cap_{alpha,2} of the cells in mask as a quadratic programme.
+
+    The rows of A are I_alpha e_j for the cells j of E, by the direct-sum
+    kernel.  The minimiser of h^n |u|^2 subject to A u >= 1 is
+    u = A^T mu / (2 h^n), where mu >= 0 maximises 1.mu - mu.G mu with
+    G = A A^T / (4 h^n); with G = R^T R that is the nonnegative least-squares
+    problem min |R mu - R^(-T) 1 / 2|, solved by scipy.optimize.nnls.
+    """
+    n, N = mask.ndim, mask.shape[0]
+    hn = h**n
+    kern = _direct_kernel(n, N, h, alpha)
+    rows = [
+        kern[tuple(slice(N - 1 - k, 2 * N - 1 - k) for k in j)].ravel() * hn
+        for j in np.argwhere(mask)
+    ]
+    a = np.stack(rows)
+    r = cholesky(a @ a.T / (4.0 * hn), lower=False)
+    mu, _ = nnls(r, 0.5 * solve_triangular(r, np.ones(len(rows)), trans="T"))
+    u = a.T @ mu / (2.0 * hn)
+    return float(hn * np.sum(u**2))
 
 
 def padded_fft_convolution(

@@ -1,5 +1,7 @@
 """Capacity bounds, candidate densities, and the admissibility ratio."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,9 +24,11 @@ from fracpot.errors import (
     AlphaOutOfRange,
     ConfigError,
     EmptySet,
+    NotConverged,
     ThetaOutOfRange,
     ZeroMeasure,
 )
+from oracles import capacity_qp_oracle
 
 PARAMS = Parameters(2, 0.75, 2.0)
 
@@ -143,6 +147,47 @@ def test_estimator_never_evaluates_the_same_array_twice_in_a_row(monkeypatch):
     est = estimate_ball_capacity(np.zeros(2), 1.0, 0.5, 2.0, Grid(2, 4.0, 32))
     assert est.iterations > 1
     assert not any(np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
+
+
+def test_estimate_brackets_the_quadratic_programme_oracle():
+    # p = 2 makes the discrete capacity a QP; the oracle solves its dual by
+    # nonnegative least squares with the direct-sum kernel
+    g = Grid(2, 4.0, 32)
+    for x0, r in (((0.0, 0.0), 1.0), ((0.3, 0.3), 0.9)):
+        mask = ball_mask(g, x0, r)
+        est = estimate_capacity(mask, 0.5, 2.0, g)
+        oracle = capacity_qp_oracle(mask, g.h, 0.5)
+        assert est.lower_bound <= oracle * (1.0 + 1e-9)
+        assert oracle <= est.value
+        assert est.value - oracle <= 1e-6 * est.value
+
+
+def test_estimate_exactly_scale_equivariant_on_self_similar_grids():
+    # L = 4r with N fixed gives the same mask on every grid, and the
+    # estimator iterates in unit-spacing units, so value / r is one number
+    values = []
+    for r in (0.25, 0.5, 1.0, 2.0):
+        g = Grid(2, 4.0 * r, 64)
+        mask = ball_mask(g, np.zeros(2), r)
+        est = estimate_capacity(mask, 0.5, 2.0, g)
+        assert est.lower_bound <= est.value <= est.upper_bound
+        pot = riesz_potential_field(est.candidate, 0.5).values
+        assert 1.0 - pot[mask].min() <= 1e-12
+        assert est.feasibility_gap <= 1e-12
+        values.append(est.value / r)
+    assert max(values) - min(values) <= 1e-8 * min(values)
+
+
+def test_estimate_rejects_a_lower_bound_above_its_value(unit_ball_estimate):
+    est = unit_ball_estimate
+    with pytest.raises(ValueError):
+        replace(est, lower_bound=est.value * (1.0 + 1e-9))
+
+
+def test_estimate_raises_when_the_budget_runs_out():
+    g = Grid(2, 4.0, 32)
+    with pytest.raises(NotConverged, match=r"after 3 iterations; capacity in \["):
+        estimate_capacity(ball_mask(g, np.zeros(2), 1.0), 0.5, 2.0, g, max_iter=3)
 
 
 def test_estimate_rejects_empty_or_mismatched_mask():

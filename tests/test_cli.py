@@ -316,6 +316,7 @@ def test_capacity_ball_payload(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] <= payload["analytic_ball_bound"]
     assert payload["feasibility_gap"] <= 1e-6
+    assert payload["lower_bound"] <= payload["value"] <= payload["upper_bound"]
 
 
 def test_capacity_requires_a_target(capsys):
