@@ -16,7 +16,6 @@ from .capacity import (
     check_capacity_domination,
     estimate_ball_capacity,
     estimate_capacity,
-    paper_ball_candidate,
     scale_measure_admissible,
     wolff_ratio,
 )
@@ -33,7 +32,6 @@ from .diagnostics import (
     diagnostics_report,
     distribution_function,
     distribution_slope,
-    lebesgue_norm,
     marcinkiewicz_quasinorm,
     positivity_check,
 )
@@ -45,15 +43,12 @@ from .fraclap import (
     weak_residual,
 )
 from .riesz import (
-    fraclap_constant,
     gradient_comparison_constant,
     riesz_constant,
     riesz_gradient_field,
     riesz_gradient_measure,
-    riesz_kernel,
     riesz_potential_field,
     riesz_potential_measure,
-    weighted_ls_norm,
 )
 from .solver import (
     ConstantsLedger,
@@ -93,21 +88,17 @@ __all__ = [
     "distribution_slope",
     "estimate_ball_capacity",
     "estimate_capacity",
-    "fraclap_constant",
     "fractional_laplacian_spectral",
     "gamma",
     "gradient_bound_check",
     "gradient_comparison_constant",
-    "lebesgue_norm",
     "marcinkiewicz_quasinorm",
-    "paper_ball_candidate",
     "picard_solve",
     "positivity_check",
     "representation_residual",
     "riesz_constant",
     "riesz_gradient_field",
     "riesz_gradient_measure",
-    "riesz_kernel",
     "riesz_potential_field",
     "riesz_potential_measure",
     "run_checks",
@@ -115,6 +106,5 @@ __all__ = [
     "scale_measure_admissible",
     "sphere_surface",
     "weak_residual",
-    "weighted_ls_norm",
     "wolff_ratio",
 ]

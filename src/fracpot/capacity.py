@@ -2,8 +2,9 @@
 
 cap_{alpha,p}(E) = inf { h^n sum u^p : u >= 0, I_alpha(u) >= 1 on E }.
 
-Two routes are provided: the closed-form upper bound for balls carried by an
-explicit feasible candidate, and a certified estimator over gridded densities.
+Two routes are provided: the closed-form upper bound for balls, carried by an
+explicit feasible candidate (the tests' paper_ball_candidate), and a
+certified estimator over gridded densities.
 The estimator maximises the Lagrangian dual (Adams & Hedberg, Function Spaces
 and Potential Theory, section 2.5) over lambda >= 0 on E,
 
@@ -16,8 +17,9 @@ u / min_E I_alpha u an upper bound, so each estimate comes with a bracket
 whose relative width is the stopping test.
 
 The admissibility side measures the ratio I_{2s-1}([I_{2s-1}(omega)]^q) /
-I_{2s-1}(omega) over the box and rescales a measure until the ratio falls
-under a requested fraction of the threshold (q')^(1-q) q^(-1) C0^(-q).
+I_{2s-1}(omega) over the box and rescales a measure so the ratio, which is
+(q-1)-homogeneous in omega, equals a requested fraction of the threshold
+(q')^(1-q) q^(-1) C0^(-q).
 
 Convention: omega_n below is the surface measure of the unit sphere,
 2 pi^(n/2) / Gamma(n/2).  With that reading the ball bound at n=2, alpha=1/2,
@@ -28,7 +30,7 @@ which the tests pin as measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -75,12 +77,7 @@ class AdmissibilityReport:
     scale_factor: float = 1.0
 
     def to_dict(self) -> dict:
-        return {
-            "c1_hat": self.c1_hat,
-            "c1_threshold": self.c1_threshold,
-            "theta": self.theta,
-            "scale_factor": self.scale_factor,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -120,14 +117,6 @@ def ball_capacity_upper(n: int, alpha: float, p: float, r: float) -> float:
 def ball_mask(grid: Grid, x0, r: float) -> np.ndarray:
     """Boolean mask of cell centers strictly inside B_r(x0)."""
     return grid.dist2(x0) < r * r
-
-
-def paper_ball_candidate(x0, r: float, alpha: float, grid: Grid) -> GridField:
-    """The scaled ball indicator certifying the capacity upper bound."""
-    c = riesz_constant(grid.n, alpha)
-    height = 2.0 ** (grid.n - alpha) / (c * sphere_surface(grid.n) * r**alpha)
-    vals = np.where(ball_mask(grid, x0, r), height, 0.0)
-    return GridField(grid, vals)
 
 
 def estimate_capacity(
@@ -280,16 +269,19 @@ def scale_measure_admissible(
 ) -> tuple[float, AdmissibilityReport]:
     """Multiplier t with wolff_ratio(t omega) = theta_target * threshold.
 
-    The ratio is (q-1)-homogeneous in the measure, so t has the closed form
-    (theta* C1star / C1hat)^(1/(q-1)); the returned report is recomputed on
-    the scaled measure rather than inferred, as a consistency check.
+    The ratio is (q-1)-homogeneous in the measure, so one measurement on
+    omega gives both t = (theta* C1star / C1hat)^(1/(q-1)) and the report of
+    t omega, c1_hat(t omega) = t^(q-1) c1_hat(omega).  picard_solve's guard
+    measures the scaled measure itself, so the inference is checked there.
     """
     if not 0.0 < theta_target < 1.0:
         raise ThetaOutOfRange(f"target theta {theta_target} outside (0, 1)")
     base = wolff_ratio(omega, params, grid)
     t = (theta_target * base.c1_threshold / base.c1_hat) ** (1.0 / (params.q - 1.0))
-    scaled = wolff_ratio(omega.scaled(t), params, grid)
-    return t, replace(scaled, scale_factor=t)
+    c1_hat = t ** (params.q - 1.0) * base.c1_hat
+    return t, replace(
+        base, c1_hat=c1_hat, theta=c1_hat / base.c1_threshold, scale_factor=t
+    )
 
 
 def check_capacity_domination(

@@ -42,7 +42,13 @@ from .io import (
     write_field,
     write_measure,
 )
-from .riesz import FFT_BACKEND, available_cpus, fft_worker_count, fft_workers
+from .riesz import (
+    FFT_BACKEND,
+    available_cpus,
+    fft_worker_count,
+    fft_workers,
+    riesz_potential_measure,
+)
 from .solver import CHECK_NAMES, constants_ledger, picard_solve, run_checks
 
 _CONFIG_KEYS = {
@@ -97,6 +103,8 @@ def _build(config: dict, base_dir: Path) -> tuple[Parameters, Grid, Measure]:
         measure = measure_from_dict(config["measure"], base_dir=base_dir)
     except KeyError as exc:
         raise ConfigError(f"config is missing {exc}") from exc
+    if measure.dimension != params.n:
+        raise ConfigError(f"measure is {measure.dimension}-dimensional, params.n is {params.n}")
     if grid.L < 4.0 * measure.support_radius:
         raise ConfigError(
             f"box half-width {grid.L} below 4 x support radius "
@@ -171,10 +179,10 @@ def cmd_wolff(args) -> int:
     return 0
 
 
-def _parse_ball(text: str) -> tuple[tuple[float, ...], float]:
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) < 2:
-        raise ConfigError("ball spec needs center coordinates and a radius")
+def _parse_ball(numbers, n: int) -> tuple[tuple[float, ...], float]:
+    parts = [float(x) for x in numbers]
+    if len(parts) != n + 1:
+        raise ConfigError(f"a ball needs {n} center coordinates and a radius")
     return tuple(parts[:-1]), parts[-1]
 
 
@@ -204,19 +212,21 @@ def cmd_capacity(args) -> int:
 
     grid = Grid(n=args.n, L=args.L, N=args.N)
     if args.ball:
-        center, radius = _parse_ball(args.ball)
+        center, radius = _parse_ball(args.ball.split(","), grid.n)
         est = estimate_ball_capacity(center, radius, args.alpha, args.p, grid)
     elif args.mask_file:
         spec = json.loads(Path(args.mask_file).read_text())
         if isinstance(spec, dict) and "ball" in spec:
-            center = tuple(spec["ball"]["center"])
-            est = estimate_ball_capacity(
-                center, float(spec["ball"]["radius"]), args.alpha, args.p, grid
-            )
+            ball = spec["ball"]
+            center, radius = _parse_ball([*ball["center"], ball["radius"]], grid.n)
+            est = estimate_ball_capacity(center, radius, args.alpha, args.p, grid)
         else:
+            cells = np.asarray(spec)
+            ok = cells.ndim == 2 and cells.shape[1] == grid.n and cells.dtype.kind == "i"
+            if not (ok and cells.min() >= 0 and cells.max() < grid.N):
+                raise ConfigError(f"mask entries must be {grid.n} integers in [0, {grid.N})")
             mask = np.zeros(grid.shape, dtype=bool)
-            for idx in spec:
-                mask[tuple(int(i) for i in idx)] = True
+            mask[tuple(cells.T)] = True
             est = estimate_capacity(mask, args.alpha, args.p, grid)
     else:
         raise ConfigError("capacity needs --ball, --mask-file, or --sweep")
@@ -260,7 +270,8 @@ def cmd_verify(args) -> int:
     u, grad = _read_solution(fields_dir, grid)
     omega = _effective_measure(fields_dir, omega)
     checks = list(config.get("checks", sorted(CHECK_NAMES)))
-    results, ok = run_checks(u, grad, omega, params, checks)
+    u0 = riesz_potential_measure(omega, 2.0 * params.s, grid)
+    results, ok = run_checks(u, grad, omega, u0, params, checks)
     outdir = Path(args.out or fields_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     dump_report({"checks": results, "all_pass": ok}, outdir / "verify_report.json")

@@ -96,11 +96,6 @@ class Grid:
         block = block or (slice(None),) * self.n
         return list(np.meshgrid(*[axis[b] for b in block], indexing="ij", sparse=True))
 
-    def points(self) -> np.ndarray:
-        """All cell centers as an (N^n, n) array in row-major order."""
-        mesh = np.meshgrid(*([self.axis()] * self.n), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
     def dist2(self, x0, block: tuple[slice, ...] | None = None) -> np.ndarray:
         """Squared distance from x0 of every cell center, or of a block's.
 

@@ -1,14 +1,13 @@
 """Norm and asymptotics diagnostics for potential fields.
 
 Weak-type (Marcinkiewicz) quasinorms in the weighted measure
-dmu = dx / (1 + |x|^(n+2s)), plain Lebesgue norms, superlevel-set volumes,
-far-field decay fits, and the pointwise positivity bound
-u >= c(n,2s) (R + |x|)^(2s-n) omega(R^n).
+dmu = dx / (1 + |x|^(n+2s)), superlevel-set volumes, far-field decay fits,
+and the pointwise positivity bound u >= c(n,2s) (R + |x|)^(2s-n) omega(R^n).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,13 +68,6 @@ def atom_level_window(u: GridField, params: Parameters) -> tuple[float, float]:
     return c * (0.5 * u.grid.L) ** expo, c * (10.0 * u.grid.h) ** expo
 
 
-def lebesgue_norm(v: GridField, r: float) -> float:
-    if r < 1.0:
-        raise ValueError("Lebesgue exponent below 1")
-    g = v.grid
-    return float((g.cell_volume * np.sum(np.abs(v.values) ** r)) ** (1.0 / r))
-
-
 @dataclass(frozen=True)
 class DecayFit:
     ring_inner: float
@@ -85,13 +77,7 @@ class DecayFit:
     rmse: float
 
     def to_dict(self) -> dict:
-        return {
-            "ring_inner": self.ring_inner,
-            "ring_outer": self.ring_outer,
-            "slope": self.slope,
-            "amplitude": self.amplitude,
-            "rmse": self.rmse,
-        }
+        return asdict(self)
 
 
 def decay_fit(u: GridField, omega: Measure, params: Parameters) -> DecayFit:

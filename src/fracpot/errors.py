@@ -26,10 +26,6 @@ class AlphaOutOfRange(FracpotError):
     """Riesz order alpha outside (0, n)."""
 
 
-class SingularPoint(FracpotError):
-    """Kernel evaluated at the origin."""
-
-
 class NegativeDensity(FracpotError):
     """Density input carries negative entries."""
 

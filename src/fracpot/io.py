@@ -1,4 +1,4 @@
-"""File formats: field binaries with JSON sidecars, measure files, CSV export.
+"""File formats: field binaries with JSON sidecars, measure files and reports.
 
 A field file is raw little-endian float64 in row-major order; its sidecar
 (<name>.json) records {"n", "N", "L"}.  Reports are serialised with sorted
@@ -45,25 +45,6 @@ def read_field(path: Path | str) -> GridField:
             f"field file holds {values.size} values, sidecar promises {grid.size}"
         )
     return GridField(grid, values.reshape(grid.shape).copy())
-
-
-def field_to_csv(field: GridField, path: Path | str) -> None:
-    """Index coordinates, cell-center positions and value, one row per cell."""
-    g = field.grid
-    idx = np.indices(g.shape).reshape(g.n, -1).T
-    pos = g.points()
-    header = (
-        [f"i{k}" for k in range(g.n)]
-        + [f"x{k}" for k in range(g.n)]
-        + ["value"]
-    )
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        flat = field.values.ravel()
-        for row in range(flat.size):
-            ints = ",".join(str(int(v)) for v in idx[row])
-            coords = ",".join(repr(float(v)) for v in pos[row])
-            fh.write(f"{ints},{coords},{flat[row]!r}\n")
 
 
 def measure_to_dict(measure: Measure, density_file: str | None = None) -> dict:

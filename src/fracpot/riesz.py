@@ -46,7 +46,7 @@ import numpy as np
 import scipy.fft
 
 from .core import Grid, GridField, Measure, VectorGridField
-from .errors import AlphaOutOfRange, ConfigError, NegativeDensity, OrderOutOfRange, SingularPoint
+from .errors import AlphaOutOfRange, ConfigError, NegativeDensity
 from .special import ball_volume, gamma, sphere_surface
 
 
@@ -62,13 +62,6 @@ def riesz_constant(n: int, alpha: float) -> float:
     )
 
 
-def fraclap_constant(n: int, s: float) -> float:
-    """Normalisation a(n, s) of the singular-integral fractional Laplacian."""
-    if not 0.0 < s < 1.0:
-        raise OrderOutOfRange(f"s must lie in (0, 1), got {s}")
-    return 2.0 ** (2.0 * s) * s * gamma(n / 2.0 + s) / (math.pi ** (n / 2.0) * gamma(1.0 - s))
-
-
 def gradient_comparison_constant(n: int, s: float) -> float:
     """c_grad = (n - 2s) c(n, 2s) / c(n, 2s - 1).
 
@@ -76,16 +69,6 @@ def gradient_comparison_constant(n: int, s: float) -> float:
     differ exactly by this ratio in magnitude.
     """
     return (n - 2.0 * s) * riesz_constant(n, 2.0 * s) / riesz_constant(n, 2.0 * s - 1.0)
-
-
-def riesz_kernel(x: np.ndarray, n: int, alpha: float) -> np.ndarray | float:
-    """Pointwise kernel c(n, alpha) |x|^(alpha - n); rejects the origin."""
-    c = riesz_constant(n, alpha)
-    x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x, axis=-1) if x.ndim > 0 and x.shape[-1] == n else np.abs(x)
-    if np.any(r == 0.0):
-        raise SingularPoint("Riesz kernel evaluated at the origin")
-    return c * r ** (alpha - n)
 
 
 def singular_cell_average(grid: Grid, alpha: float) -> float:
@@ -455,9 +438,3 @@ def riesz_gradient_measure(measure: Measure, s: float, grid: Grid) -> VectorGrid
         return VectorGridField(grid, tuple(GridField(grid, v) for v in comps))
     return riesz_gradient_field(measure.as_density(grid), s)
 
-
-def weighted_ls_norm(u: GridField, s: float) -> float:
-    """h^n sum |u| / (1 + |x|^(n + 2s)), the natural L_s weight."""
-    g = u.grid
-    weight = 1.0 / (1.0 + g.radii() ** (g.n + 2.0 * s))
-    return float(np.sum(np.abs(u.values) * weight) * g.cell_volume)

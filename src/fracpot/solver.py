@@ -8,7 +8,9 @@ ratio bound is set to theta times its threshold, so the measured increment
 ratios of a run can be compared directly against the requested theta.
 
 run_checks is the one a-posteriori check path: picard_solve calls it once on
-its final fields, and the CLI's verify calls it on stored fields.
+its final fields, and the CLI's verify calls it on stored fields.  The checks
+take u0 = I_2s(omega) from their caller instead of the measure, so each run
+computes it once: the Picard loop's own datum term, or verify's one potential.
 """
 
 from __future__ import annotations
@@ -145,27 +147,22 @@ class SolveReport:
 
 
 def representation_residual(
-    u: GridField, grad_u: VectorGridField, omega: Measure, params: Parameters
+    u: GridField, grad_u: VectorGridField, u0: GridField, params: Parameters
 ) -> float:
-    """sup |u - I_2s(|grad u|^q) - I_2s(omega)| / sup |u|."""
-    grid = u.grid
+    """sup |u - I_2s(|grad u|^q) - u0| / sup |u|, where u0 = I_2s(omega)."""
     sup_u = float(np.max(np.abs(u.values)))
     if sup_u == 0.0:
         return 0.0
-    gq = GridField(grid, grad_u.magnitude().values ** params.q)
-    rhs = riesz_potential_field(gq, 2.0 * params.s).values
-    rhs = rhs + riesz_potential_measure(omega, 2.0 * params.s, grid).values
+    gq = GridField(u.grid, grad_u.magnitude().values ** params.q)
+    rhs = riesz_potential_field(gq, 2.0 * params.s).values + u0.values
     return float(np.max(np.abs(u.values - rhs))) / sup_u
 
 
-def sandwich_check(
-    u: GridField, omega: Measure, params: Parameters
-) -> tuple[bool, float]:
-    """Lower bound u >= I_2s(omega) pointwise, and the measured upper ratio."""
-    u0 = riesz_potential_measure(omega, 2.0 * params.s, u.grid).values
-    lower_ok = bool(np.all(u.values >= u0 - 1e-10))
-    keep = u0 >= 1e-14
-    upper = float(np.max(u.values[keep] / u0[keep])) if keep.any() else 1.0
+def sandwich_check(u: GridField, u0: GridField) -> tuple[bool, float]:
+    """Lower bound u >= u0 = I_2s(omega) pointwise, and the measured upper ratio."""
+    lower_ok = bool(np.all(u.values >= u0.values - 1e-10))
+    keep = u0.values >= 1e-14
+    upper = float(np.max(u.values[keep] / u0.values[keep])) if keep.any() else 1.0
     return lower_ok, upper
 
 
@@ -183,6 +180,7 @@ def run_checks(
     u: GridField,
     grad: VectorGridField,
     omega: Measure,
+    u0: GridField,
     params: Parameters,
     names: Collection[str],
 ) -> tuple[dict, bool]:
@@ -198,7 +196,7 @@ def run_checks(
         results["weak"] = {"residuals": residuals, "tol": _WEAK_TOL, "pass": passed}
         ok = ok and passed
     if "representation" in names:
-        res = representation_residual(u, grad, omega, params)
+        res = representation_residual(u, grad, u0, params)
         passed = res <= _REPRESENTATION_TOL
         results["representation"] = {
             "residual": res,
@@ -207,7 +205,7 @@ def run_checks(
         }
         ok = ok and passed
     if "sandwich" in names:
-        lower_ok, upper = sandwich_check(u, omega, params)
+        lower_ok, upper = sandwich_check(u, u0)
         results["sandwich"] = {"lower_ok": lower_ok, "upper": upper, "pass": lower_ok}
         ok = ok and lower_ok
     if "decay" in names:
@@ -251,13 +249,13 @@ def picard_solve(
 
     if omega.total_mass() == 0.0:
         # u = 0 solves the problem exactly: no guard, no iteration
-        u = grid.zeros()
+        u = u0 = grid.zeros()
         grad = VectorGridField(grid, tuple(grid.zeros() for _ in range(grid.n)))
         report.converged = True
         report.iterations = 1
     else:
-        u, grad = _iterate(omega, params, grid, ledger, tol, max_iter, report)
-    report.checks, report.checks_ok = run_checks(u, grad, omega, params, checks)
+        u, grad, u0 = _iterate(omega, params, grid, ledger, tol, max_iter, report)
+    report.checks, report.checks_ok = run_checks(u, grad, omega, u0, params, checks)
     report.gradient_bound_ratio = gradient_bound_check(grad, omega, params)
     return u, grad, report
 
@@ -270,8 +268,8 @@ def _iterate(
     tol: float,
     max_iter: int,
     report: SolveReport,
-) -> tuple[GridField, VectorGridField]:
-    """The admissibility guard and the Picard loop; history goes to report."""
+) -> tuple[GridField, VectorGridField, GridField]:
+    """The admissibility guard and the Picard loop; returns u, grad u and u0."""
     adm = wolff_ratio(omega, params, grid)
     report.admissibility = adm.to_dict()
     if adm.c1_hat > ledger.c1 * (1.0 + 1e-12):
@@ -334,4 +332,4 @@ def _iterate(
 
     report.converged = converged
     report.iterations = iterations
-    return u_field, grad_field
+    return u_field, grad_field, u0

@@ -1,53 +1,13 @@
-"""Self-contained gamma function used by every kernel constant.
+"""Gamma function and the sphere and ball constants of R^n.
 
-The kernel normalisations divide two gamma values whose arguments differ by
-less than n/2, so a fixed Lanczos approximation (g = 7, nine coefficients)
-carries more than enough accuracy in float64.  Keeping the implementation
-local avoids depending on a particular scipy build for the constants that
-everything else is calibrated against.
+gamma is the standard library's math.gamma: a float in, a float out, and
+ValueError at the poles 0, -1, -2, ...
 """
 
 from __future__ import annotations
 
 import math
-
-# Lanczos coefficients for g = 7.  Classic nine-term set; relative error
-# below 1e-13 on the positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma(x: float) -> float:
-    """Gamma(x) for real non-pole x via the Lanczos approximation.
-
-    Arguments below 0.5 go through the reflection formula, so small positive
-    arguments (frequent for kernel constants with alpha close to n) stay
-    accurate.
-    """
-    x = float(x)
-    if x != x:
-        raise ValueError("gamma: argument is NaN")
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma: pole at non-positive integer {x!r}")
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+from math import gamma
 
 
 def sphere_surface(n: int) -> float:

@@ -167,6 +167,20 @@ def riesz_direct_sum(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
     return convolve(values, kern, mode="same", method="direct") * h**n
 
 
+def paper_ball_candidate(x0, r: float, alpha: float, grid) -> np.ndarray:
+    """The flat ball candidate certifying the capacity upper bound.
+
+    Height 2^(n - alpha) / (c(n, alpha) omega_n r^alpha), omega_n the surface
+    2 pi^(n/2) / Gamma(n/2) of the unit sphere, on the cell centres strictly
+    inside B_r(x0), zero elsewhere.
+    """
+    n = grid.n
+    c = np.pi ** (-n / 2.0) * 2.0**-alpha * gamma((n - alpha) / 2.0) / gamma(alpha / 2.0)
+    surface = 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
+    dist2 = sum((x - y) ** 2 for x, y in zip(grid.coords(), x0))
+    return np.where(dist2 < r * r, 2.0 ** (n - alpha) / (c * surface * r**alpha), 0.0)
+
+
 def capacity_qp_oracle(mask: np.ndarray, h: float, alpha: float) -> float:
     """cap_{alpha,2} of the cells in mask as a quadratic programme.
 

@@ -7,6 +7,7 @@ import pytest
 
 from fracpot import (
     Grid,
+    GridField,
     Measure,
     Parameters,
     ball_capacity_upper,
@@ -14,7 +15,6 @@ from fracpot import (
     check_capacity_domination,
     estimate_ball_capacity,
     estimate_capacity,
-    paper_ball_candidate,
     riesz_potential_field,
     scale_measure_admissible,
     sphere_surface,
@@ -28,7 +28,7 @@ from fracpot.errors import (
     ThetaOutOfRange,
     ZeroMeasure,
 )
-from oracles import capacity_qp_oracle
+from oracles import capacity_qp_oracle, paper_ball_candidate
 
 PARAMS = Parameters(2, 0.75, 2.0)
 
@@ -67,7 +67,7 @@ def test_candidate_norm_is_bound_over_n():
     n, alpha, p, r = 2, 0.5, 2.0, 1.0
     g = Grid(2, 4.0, 64)
     cand = paper_ball_candidate(np.zeros(2), r, alpha, g)
-    height = float(cand.values.max())
+    height = float(cand.max())
     from fracpot import ball_volume, riesz_constant
 
     ref_height = 2.0 ** (n - alpha) / (
@@ -81,7 +81,7 @@ def test_candidate_norm_is_bound_over_n():
 
 def test_candidate_is_feasible_on_the_ball():
     g = Grid(2, 8.0, 256)
-    cand = paper_ball_candidate(np.zeros(2), 1.0, 0.5, g)
+    cand = GridField(g, paper_ball_candidate(np.zeros(2), 1.0, 0.5, g))
     pot = riesz_potential_field(cand, 0.5).values
     E = ball_mask(g, np.zeros(2), 1.0)
     assert pot[E].min() >= 1.0 - 1e-3
@@ -253,6 +253,12 @@ def test_scaling_onto_admissible_range_hits_theta():
     assert rep.c1_hat / rep.c1_threshold == pytest.approx(0.5, abs=1e-12)
     # q = 2 makes the scale explicit: t = theta * threshold / c1_hat
     assert t == pytest.approx(0.5 * rep.c1_threshold / 0.8799748840027056, rel=1e-10)
+    # the report is inferred by (q-1)-homogeneity; measuring t omega agrees
+    for params, grid in ((PARAMS, g), (Parameters(3, 0.75, 2.0), Grid(3, 4.0, 32))):
+        om = Measure.uniform_ball(np.zeros(grid.n), 1.0, 1.0)
+        t, rep = scale_measure_admissible(om, 0.5, params, grid)
+        measured = wolff_ratio(om.scaled(t), params, grid).c1_hat
+        assert rep.c1_hat == pytest.approx(measured, rel=1e-12)
 
 
 def test_scaling_rejects_theta_outside_unit_interval():

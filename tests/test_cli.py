@@ -142,16 +142,26 @@ def _count_calls(monkeypatch, *names):
 
 def test_solve_runs_each_check_once(tmp_path, monkeypatch):
     counts = _count_calls(
-        monkeypatch, "weak_residual", "representation_residual", "sandwich_check"
+        monkeypatch,
+        "weak_residual",
+        "representation_residual",
+        "sandwich_check",
+        "wolff_ratio",
+        "riesz_potential_measure",
     )
     cfg = _write_config(tmp_path / "run.json")
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg), "--out", str(out), "--auto-scale"]) == 0
-    # one pass of the five default test functions, one of each other check
+    # one pass of the five default test functions, one of each other check;
+    # the Wolff ratio is measured by the scaling and by the guard, and
+    # I_2s(omega) once, I_{2s-1}(omega) by each Wolff ratio and the
+    # gradient bound
     assert counts == {
         "weak_residual": 5,
         "representation_residual": 1,
         "sandwich_check": 1,
+        "wolff_ratio": 2,
+        "riesz_potential_measure": 4,
     }
     report = json.loads((out / "report.json").read_text())
     for key in (
@@ -161,8 +171,17 @@ def test_solve_runs_each_check_once(tmp_path, monkeypatch):
         "weak_residuals",
     ):
         assert key not in report
-    # verify recomputes the checks on the stored fields through the same path
+    # verify recomputes the checks on the stored fields through the same
+    # path, from one I_2s(omega)
+    counts.update(dict.fromkeys(counts, 0))
     assert main(["verify", "--config", str(cfg), "--fields", str(out)]) == 0
+    assert counts == {
+        "weak_residual": 5,
+        "representation_residual": 1,
+        "sandwich_check": 1,
+        "wolff_ratio": 0,
+        "riesz_potential_measure": 1,
+    }
     verify = json.loads((out / "verify_report.json").read_text())
     assert report["checks"] == verify["checks"]
 
@@ -229,6 +248,22 @@ def test_config_rejects_non_power_of_two_grid(tmp_path):
 def test_config_rejects_unknown_check_name(tmp_path):
     cfg = _write_config(tmp_path / "bad.json", checks=["weak", "vibes"])
     assert main(["solve", "--config", str(cfg), "--auto-scale"]) == 1
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        {"kind": "uniform_ball", "ball": {"center": [0.0, 0.0, 0.0], "radius": 1.0}},
+        {"kind": "atomic", "atoms": [{"x": [0.0, 0.0, 0.0], "w": 1.0}]},
+        {"kind": "atomic", "atoms": [{"x": [0.5], "w": 1.0}]},
+    ],
+)
+def test_config_rejects_measure_of_another_dimension(tmp_path, capsys, measure):
+    # params.n is 2: a third coordinate must not be dropped silently, and a
+    # missing one must not reach the grid
+    cfg = _write_config(tmp_path / "bad.json", measure=measure)
+    assert main(["wolff", "--config", str(cfg)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_config_loader_round_trip(tmp_path):
@@ -327,3 +362,36 @@ def test_capacity_requires_a_target(capsys):
 def test_capacity_rejects_malformed_ball(capsys):
     rc = main(["capacity", "--alpha", "0.5", "--p", "2.0", "--ball", "1.0"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("ball", ["0,1", "0,0,0,1"])
+def test_capacity_ball_needs_n_coordinates_and_a_radius(capsys, ball):
+    rc = main(["capacity", "--alpha", "0.5", "--p", "2.0", "--N", "16", "--ball", ball])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec", [[[7, 7], [7, 8], [8, 7], [8, 8]], {"ball": {"center": [0, 0], "radius": 1}}]
+)
+def test_capacity_mask_file_payload(tmp_path, capsys, spec):
+    mask = tmp_path / "mask.json"
+    mask.write_text(json.dumps(spec))
+    rc = main(
+        ["capacity", "--alpha", "0.5", "--p", "2.0", "--N", "16", "--mask-file", str(mask)]
+    )
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["lower_bound"] <= payload["value"] <= payload["upper_bound"]
+
+
+@pytest.mark.parametrize("cell", [[-1, -1], [16, 0]])
+def test_capacity_mask_cells_must_lie_on_the_grid(tmp_path, capsys, cell):
+    # neither wrapped around (-1 is not cell 15) nor out of range
+    mask = tmp_path / "mask.json"
+    mask.write_text(json.dumps([cell]))
+    rc = main(
+        ["capacity", "--alpha", "0.5", "--p", "2.0", "--N", "16", "--mask-file", str(mask)]
+    )
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err

@@ -12,7 +12,6 @@ from fracpot import (
     diagnostics_report,
     distribution_function,
     distribution_slope,
-    lebesgue_norm,
     marcinkiewicz_quasinorm,
     positivity_check,
     riesz_constant,
@@ -113,26 +112,6 @@ def test_distribution_slope_needs_populated_levels():
     g = Grid(2, 4.0, 32)
     with pytest.raises(AnnulusEmpty):
         distribution_slope(g.zeros(), 0.1, 1.0)
-
-
-def test_lebesgue_norm_constant_and_guard():
-    g = Grid(2, 4.0, 64)
-    v = GridField(g, np.full(g.shape, 5.0))
-    assert lebesgue_norm(v, 2.0) == pytest.approx(5.0 * 8.0, rel=1e-14)
-    assert lebesgue_norm(g.zeros(), 3.0) == 0.0
-    with pytest.raises(ValueError):
-        lebesgue_norm(v, 0.5)
-
-
-def test_lebesgue_high_exponent_approaches_sup():
-    g = Grid(2, 4.0, 64)
-    om = Measure.from_atoms(np.zeros((1, 2)), np.ones(1))
-    u = riesz_potential_measure(om, 1.5, g)
-    # drop the singular neighbourhood so the sup is an interior plateau
-    vals = np.where(g.radii() > 2.0 * g.h, u.values, 0.0)
-    f = GridField(g, vals)
-    l64 = lebesgue_norm(f, 64.0)
-    assert abs(l64 - vals.max()) <= 0.05 * vals.max()
 
 
 def test_decay_fit_recovers_atom_power_law(atom_potential):

@@ -113,7 +113,7 @@ def test_test_function_grid_and_point_evaluations_agree():
     g = Grid(2, 4.0, 32)
     phi = TestFunction("gaussian", (0.5, -0.25), 0.7, amplitude=2.0)
     on_grid = phi.on_grid(g).values
-    pts = g.points()
+    pts = np.stack([c.ravel() for c in np.meshgrid(g.axis(), g.axis(), indexing="ij")], -1)
     direct = phi.evaluate(pts).reshape(g.shape)
     assert np.array_equal(on_grid, direct)
 

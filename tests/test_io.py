@@ -8,7 +8,6 @@ import pytest
 from fracpot import Grid, GridField, Measure
 from fracpot.errors import ConfigError, GridMismatch
 from fracpot.io import (
-    field_to_csv,
     measure_from_dict,
     measure_to_dict,
     read_field,
@@ -103,11 +102,3 @@ def test_measure_dict_rejects_unknown_keys():
 def test_measure_dict_rejects_unknown_kind():
     with pytest.raises(ConfigError):
         measure_from_dict({"kind": "fractal", "support_radius": 1.0})
-
-
-def test_field_to_csv_header_and_rows(tmp_path, grid):
-    path = tmp_path / "u.csv"
-    field_to_csv(grid.zeros(), path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "i0,i1,x0,x1,value"
-    assert len(lines) == 1 + grid.size

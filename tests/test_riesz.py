@@ -20,13 +20,11 @@ from fracpot import (
     riesz_constant,
     riesz_gradient_field,
     riesz_gradient_measure,
-    riesz_kernel,
     riesz_potential_field,
     riesz_potential_measure,
-    weighted_ls_norm,
 )
 from fracpot import riesz
-from fracpot.errors import AlphaOutOfRange, ConfigError, NegativeDensity, SingularPoint
+from fracpot.errors import AlphaOutOfRange, ConfigError, NegativeDensity
 from fracpot.riesz import (
     _gradient_kernels,
     _scalar_kernels,
@@ -57,14 +55,6 @@ def test_constant_rejects_alpha_outside_zero_n():
         with pytest.raises(AlphaOutOfRange):
             riesz_constant(n, alpha)
     riesz_constant(3, 2.5)
-
-
-def test_kernel_values_and_singularity():
-    c = riesz_constant(2, 1.5)
-    x = np.array([3.0, 4.0])
-    assert riesz_kernel(x, 2, 1.5) == pytest.approx(c * 5.0**-0.5, rel=1e-14)
-    with pytest.raises(SingularPoint):
-        riesz_kernel(np.zeros(2), 2, 1.5)
 
 
 def test_gradient_comparison_constant_is_kernel_ratio():
@@ -313,14 +303,6 @@ def test_semigroup_composition_within_truncation_band():
     right = riesz_potential_field(f, 1.0).values
     rel = np.linalg.norm(left - right) / np.linalg.norm(right)
     assert 0.05 <= rel <= 0.15
-
-
-def test_weighted_ls_norm_zero_and_positive():
-    g = Grid(2, 8.0, 64)
-    assert weighted_ls_norm(g.zeros(), 0.75) == 0.0
-    om = Measure.from_atoms(np.zeros((1, 2)), np.ones(1))
-    u = riesz_potential_measure(om, 1.5, g)
-    assert 0.0 < weighted_ls_norm(u, 0.75) < np.inf
 
 
 @given(t=st.floats(min_value=1e-3, max_value=1e3))

@@ -108,11 +108,12 @@ def test_reference_solve_converges_fast(reference_run):
 def test_reference_solve_representation_identity(reference_run):
     # u = I_2s(|grad u|^q) + I_2s(omega) holds to solver tolerance
     assert reference_run["report"].representation_residual <= 1e-6
+    params = reference_run["params"]
+    u0 = riesz_potential_measure(
+        reference_run["omega"], 2.0 * params.s, reference_run["grid"]
+    )
     res = representation_residual(
-        reference_run["u"],
-        reference_run["grad"],
-        reference_run["omega"],
-        reference_run["params"],
+        reference_run["u"], reference_run["grad"], u0, params
     )
     assert res <= 1e-6
 
@@ -121,9 +122,10 @@ def test_reference_solve_sandwich(reference_run):
     rep = reference_run["report"]
     assert rep.sandwich_lower_ok
     assert 1.0 <= rep.sandwich_upper <= 1.05
-    lower_ok, upper = sandwich_check(
-        reference_run["u"], reference_run["omega"], reference_run["params"]
+    u0 = riesz_potential_measure(
+        reference_run["omega"], 2.0 * reference_run["params"].s, reference_run["grid"]
     )
+    lower_ok, upper = sandwich_check(reference_run["u"], u0)
     assert lower_ok and upper == pytest.approx(rep.sandwich_upper, rel=1e-12)
 
 
@@ -161,13 +163,13 @@ def test_representation_residual_zero_for_pure_potential():
     om = Measure.from_atoms(np.zeros((1, 2)), np.ones(1))
     u0 = riesz_potential_measure(om, 1.5, g)
     no_grad = VectorGridField(g, (g.zeros(), g.zeros()))
-    assert representation_residual(u0, no_grad, om, PARAMS) <= 1e-14
+    assert representation_residual(u0, no_grad, u0, PARAMS) <= 1e-14
 
 
 def test_sandwich_of_bare_potential_is_tight():
     g = Grid(2, 8.0, 64)
     om = Measure.from_atoms(np.zeros((1, 2)), np.ones(1))
     u0 = riesz_potential_measure(om, 1.5, g)
-    lower_ok, upper = sandwich_check(u0, om, PARAMS)
+    lower_ok, upper = sandwich_check(u0, u0)
     assert lower_ok
     assert upper == pytest.approx(1.0, abs=1e-12)
