@@ -45,7 +45,6 @@ from .fraclap import (
 from .riesz import (
     gradient_comparison_constant,
     riesz_constant,
-    riesz_gradient_field,
     riesz_gradient_measure,
     riesz_potential_field,
     riesz_potential_measure,
@@ -97,7 +96,6 @@ __all__ = [
     "positivity_check",
     "representation_residual",
     "riesz_constant",
-    "riesz_gradient_field",
     "riesz_gradient_measure",
     "riesz_potential_field",
     "riesz_potential_measure",

@@ -30,7 +30,7 @@ which the tests pin as measured.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,9 +75,6 @@ class AdmissibilityReport:
     c1_threshold: float
     theta: float
     scale_factor: float = 1.0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -249,6 +246,13 @@ def wolff_ratio(omega: Measure, params: Parameters, grid: Grid) -> Admissibility
     away from the support, so the max is attained in the near field once
     L >= 4 R, which is enforced here.
     """
+    return wolff_ratio_and_potential(omega, params, grid)[0]
+
+
+def wolff_ratio_and_potential(
+    omega: Measure, params: Parameters, grid: Grid
+) -> tuple[AdmissibilityReport, GridField]:
+    """wolff_ratio and the potential I_{2s-1}(omega) it was measured on."""
     if omega.total_mass() <= 0.0:
         raise ZeroMeasure("admissibility ratio of the zero measure")
     if grid.L < 4.0 * omega.support_radius:
@@ -256,12 +260,14 @@ def wolff_ratio(omega: Measure, params: Parameters, grid: Grid) -> Admissibility
             f"box half-width {grid.L} below 4 x support radius {omega.support_radius}"
         )
     alpha = 2.0 * params.s - 1.0
-    v = riesz_potential_measure(omega, alpha, grid).values
+    pot = riesz_potential_measure(omega, alpha, grid)
+    v = pot.values
     w = riesz_potential_field(GridField(grid, v**params.q), alpha).values
     keep = v >= 1e-14
     c1_hat = float(np.max(w[keep] / v[keep]))
     thresh = c1_threshold(params)
-    return AdmissibilityReport(c1_hat=c1_hat, c1_threshold=thresh, theta=c1_hat / thresh)
+    report = AdmissibilityReport(c1_hat=c1_hat, c1_threshold=thresh, theta=c1_hat / thresh)
+    return report, pot
 
 
 def scale_measure_admissible(

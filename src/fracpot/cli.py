@@ -14,6 +14,7 @@ import argparse
 import datetime
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,8 @@ _CONFIG_KEYS = {
 }
 _PARAM_KEYS = {"n", "s", "q"}
 _GRID_KEYS = {"L", "N"}
+# exit code per error; the first match wins, so the catch-all comes last
+_EXIT_CODES = ((NotAdmissible, 2), (Diverged, 3), (GridMismatch, 5), (OSError, 4), (Exception, 1))
 
 
 def _reject_unknown(d: dict, allowed: set, where: str) -> None:
@@ -103,6 +106,12 @@ def _build(config: dict, base_dir: Path) -> tuple[Parameters, Grid, Measure]:
         measure = measure_from_dict(config["measure"], base_dir=base_dir)
     except KeyError as exc:
         raise ConfigError(f"config is missing {exc}") from exc
+    _check_measure(measure, params, grid)
+    return params, grid, measure
+
+
+def _check_measure(measure: Measure, params: Parameters, grid: Grid) -> None:
+    """Reject a measure of another dimension than params.n or too wide for the box."""
     if measure.dimension != params.n:
         raise ConfigError(f"measure is {measure.dimension}-dimensional, params.n is {params.n}")
     if grid.L < 4.0 * measure.support_radius:
@@ -110,7 +119,6 @@ def _build(config: dict, base_dir: Path) -> tuple[Parameters, Grid, Measure]:
             f"box half-width {grid.L} below 4 x support radius "
             f"{measure.support_radius}"
         )
-    return params, grid, measure
 
 
 def _write_run_meta(outdir: Path, args_threads: int | None) -> None:
@@ -127,7 +135,7 @@ def _write_run_meta(outdir: Path, args_threads: int | None) -> None:
 def cmd_constants(args) -> int:
     params = Parameters(n=args.n, s=args.s, q=args.q)
     ledger = constants_ledger(params, args.theta)
-    print(json.dumps(ledger.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(asdict(ledger), indent=2, sort_keys=True))
     return 0
 
 
@@ -175,7 +183,7 @@ def cmd_wolff(args) -> int:
         _, report = scale_measure_admissible(omega, theta, params, grid)
     else:
         report = wolff_ratio(omega, params, grid)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(asdict(report), indent=2, sort_keys=True))
     return 0
 
 
@@ -189,6 +197,8 @@ def _parse_ball(numbers, n: int) -> tuple[tuple[float, ...], float]:
 def cmd_capacity(args) -> int:
     if args.sweep:
         radii = [float(r) for r in args.sweep.split(",")]
+        if len(set(radii)) < 2:
+            raise ConfigError("--sweep needs at least two distinct radii to fit a slope")
         rows = []
         for r in radii:
             # one grid per radius: equal relative resolution keeps the
@@ -218,7 +228,10 @@ def cmd_capacity(args) -> int:
         spec = json.loads(Path(args.mask_file).read_text())
         if isinstance(spec, dict) and "ball" in spec:
             ball = spec["ball"]
-            center, radius = _parse_ball([*ball["center"], ball["radius"]], grid.n)
+            try:
+                center, radius = _parse_ball([*ball["center"], ball["radius"]], grid.n)
+            except (KeyError, TypeError) as exc:
+                raise ConfigError('a mask ball is {"center": [...], "radius": r}') from exc
             est = estimate_ball_capacity(center, radius, args.alpha, args.p, grid)
         else:
             cells = np.asarray(spec)
@@ -230,14 +243,7 @@ def cmd_capacity(args) -> int:
             est = estimate_capacity(mask, args.alpha, args.p, grid)
     else:
         raise ConfigError("capacity needs --ball, --mask-file, or --sweep")
-    payload = {
-        "value": est.value,
-        "upper_bound": est.upper_bound,
-        "lower_bound": est.lower_bound,
-        "analytic_ball_bound": est.analytic_ball_bound,
-        "iterations": est.iterations,
-        "feasibility_gap": est.feasibility_gap,
-    }
+    payload = {f.name: getattr(est, f.name) for f in fields(est) if f.name != "candidate"}
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -258,9 +264,14 @@ def _read_solution(fields_dir: Path, grid: Grid) -> tuple[GridField, VectorGridF
     return u, VectorGridField(u.grid, tuple(comps))
 
 
-def _effective_measure(fields_dir: Path, omega: Measure) -> Measure:
+def _effective_measure(
+    fields_dir: Path, omega: Measure, params: Parameters, grid: Grid
+) -> Measure:
+    """The measure stored beside the fields, else the config's; checked as _build does."""
     stored = fields_dir / "measure.json"
-    return read_measure(stored) if stored.exists() else omega
+    measure = read_measure(stored) if stored.exists() else omega
+    _check_measure(measure, params, grid)
+    return measure
 
 
 def cmd_verify(args) -> int:
@@ -268,7 +279,7 @@ def cmd_verify(args) -> int:
     params, grid, omega = _build(config, Path(args.config).parent)
     fields_dir = Path(args.fields)
     u, grad = _read_solution(fields_dir, grid)
-    omega = _effective_measure(fields_dir, omega)
+    omega = _effective_measure(fields_dir, omega, params, grid)
     checks = list(config.get("checks", sorted(CHECK_NAMES)))
     u0 = riesz_potential_measure(omega, 2.0 * params.s, grid)
     results, ok = run_checks(u, grad, omega, u0, params, checks)
@@ -284,7 +295,7 @@ def cmd_diagnostics(args) -> int:
     params, grid, omega = _build(config, Path(args.config).parent)
     fields_dir = Path(args.fields)
     u, grad = _read_solution(fields_dir, grid)
-    omega = _effective_measure(fields_dir, omega)
+    omega = _effective_measure(fields_dir, omega, params, grid)
     report = diagnostics_report(u, grad.magnitude(), omega, params)
     outdir = Path(args.out or fields_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -292,7 +303,7 @@ def cmd_diagnostics(args) -> int:
     radii = grid.radii()
     ring = (radii >= 0.6 * grid.L) & (radii <= 0.8 * grid.L)
     lines = ["radius,u"] + [
-        f"{r},{v}" for r, v in zip(radii[ring].ravel(), u.values[ring].ravel())
+        f"{r},{v}" for r, v in zip(radii[ring].tolist(), u.values[ring].tolist())
     ]
     (outdir / "annulus.csv").write_text("\n".join(lines) + "\n")
     print(f"diagnostics: {outdir / 'diagnostics.json'}")
@@ -363,21 +374,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with fft_workers(threads):
             return args.func(args)
-    except NotAdmissible as exc:
+    except (FracpotError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Diverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except GridMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (FracpotError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

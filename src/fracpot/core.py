@@ -133,9 +133,6 @@ class GridField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite entries")
 
-    def copy(self) -> "GridField":
-        return GridField(self.grid, self.values.copy())
-
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))
 

@@ -76,9 +76,6 @@ class DecayFit:
     amplitude: float
     rmse: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def decay_fit(u: GridField, omega: Measure, params: Parameters) -> DecayFit:
     """Least-squares power law of u over the annulus [0.6 L, 0.8 L].
@@ -155,7 +152,7 @@ def diagnostics_report(
         )
     try:
         fit = decay_fit(u, omega, params)
-        report["decay"] = fit.to_dict()
+        report["decay"] = asdict(fit)
         report["decay"]["expected_slope"] = 2.0 * s - n
     except AnnulusEmpty as exc:
         report["decay"] = {"error": str(exc)}

@@ -72,7 +72,7 @@ class TestFunction:
         return GridField(grid, vals)
 
 
-def default_test_functions(grid: Grid, count: int = 5) -> list[TestFunction]:
+def default_test_functions(grid: Grid) -> list[TestFunction]:
     """Deterministic family of gaussians scaled to the box.
 
     Widths and centers keep the boundary values below 1e-12 of the peak, so
@@ -92,14 +92,13 @@ def default_test_functions(grid: Grid, count: int = 5) -> list[TestFunction]:
                 out[i] = v
         return tuple(out)
 
-    family = [
+    return [
         TestFunction("gaussian", center(0.0), 0.050 * L),
         TestFunction("gaussian", center(0.03 * L), 0.040 * L),
         TestFunction("gaussian", center(-0.03 * L), 0.040 * L),
         TestFunction("gaussian", center(0.0, 0.03 * L), 0.045 * L),
         TestFunction("gaussian", center(0.0, -0.03 * L), 0.045 * L),
     ]
-    return family[:count]
 
 
 def _boundary_amplitude(values: np.ndarray) -> float:

@@ -19,9 +19,11 @@ evaluation point sits on an atom.
 Every grid convolution is one free-space convolution on the grid padded to
 2N points per axis, by scipy.fft transforms pruned of the all-zero input
 lines and the cropped output lines (Hockney-Eastwood).  Kernel transforms
-are cached; riesz_potential_and_gradient_field shares one forward transform
-between I_2s f and its gradient.  Large transforms run on every available
-CPU (fft_workers changes the count), which never changes a result.
+are cached.  I_2s and its gradient share one forward transform: for a
+gridded density in riesz_potential_and_gradient_field, for any measure in
+riesz_potential_and_gradient_measure, whose gradient half is
+riesz_gradient_measure.  Large transforms run on every available CPU
+(fft_workers changes the count), which never changes a result.
 
 Differentiating |x - y|^(2s - n) gives the vector kernel
 
@@ -378,17 +380,12 @@ def riesz_potential_field(f: GridField, alpha: float) -> GridField:
     return _convolve(f, (alpha, _scalar_kernels))[0]
 
 
-def riesz_gradient_field(f: GridField, s: float) -> VectorGridField:
-    """Gradient of I_2s applied to a nonnegative gridded density."""
-    return VectorGridField(f.grid, tuple(_convolve(f, (s, _gradient_kernels))))
-
-
 def riesz_potential_and_gradient_field(
     f: GridField, s: float
 ) -> tuple[GridField, VectorGridField]:
     """I_2s f and grad I_2s f from one forward transform of f.
 
-    Bitwise equal to riesz_potential_field(f, 2s) and riesz_gradient_field(f, s).
+    Each output is bitwise equal to a convolution of f with its kernel alone.
     """
     u, *grad = _convolve(f, (2.0 * s, _scalar_kernels), (s, _gradient_kernels))
     return u, VectorGridField(f.grid, tuple(grad))
@@ -436,5 +433,21 @@ def riesz_gradient_measure(measure: Measure, s: float, grid: Grid) -> VectorGrid
             for i in range(n):
                 comps[i] += w * radial * (coords[i] - atom[i])
         return VectorGridField(grid, tuple(GridField(grid, v) for v in comps))
-    return riesz_gradient_field(measure.as_density(grid), s)
+    f = measure.as_density(grid)
+    return VectorGridField(grid, tuple(_convolve(f, (s, _gradient_kernels))))
 
+
+def riesz_potential_and_gradient_measure(
+    measure: Measure, s: float, grid: Grid
+) -> tuple[GridField, VectorGridField]:
+    """I_2s(omega) and its gradient: exact sums for atoms, else one transform.
+
+    Bitwise equal to riesz_potential_measure(measure, 2s, grid) and
+    riesz_gradient_measure(measure, s, grid).
+    """
+    if measure.kind == "atomic":
+        return (
+            riesz_potential_measure(measure, 2.0 * s, grid),
+            riesz_gradient_measure(measure, s, grid),
+        )
+    return riesz_potential_and_gradient_field(measure.as_density(grid), s)

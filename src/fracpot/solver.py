@@ -9,8 +9,10 @@ ratios of a run can be compared directly against the requested theta.
 
 run_checks is the one a-posteriori check path: picard_solve calls it once on
 its final fields, and the CLI's verify calls it on stored fields.  The checks
-take u0 = I_2s(omega) from their caller instead of the measure, so each run
-computes it once: the Picard loop's own datum term, or verify's one potential.
+take the potentials of the datum from their caller instead of the measure,
+so a solve computes each once: u0 = I_2s(omega) and its gradient from one
+transform, and the guard's I_{2s-1}(omega), which gradient_bound_check
+reuses.  verify builds its one u0 itself.
 """
 
 from __future__ import annotations
@@ -20,17 +22,16 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .capacity import c1_threshold, wolff_ratio
+from .capacity import c1_threshold, wolff_ratio_and_potential
 from .core import Grid, GridField, Measure, Parameters, VectorGridField
 from .diagnostics import decay_fit, positivity_check
 from .errors import Diverged, NotAdmissible, ThetaOutOfRange
 from .fraclap import default_test_functions, weak_residual
 from .riesz import (
     gradient_comparison_constant,
-    riesz_gradient_measure,
     riesz_potential_and_gradient_field,
+    riesz_potential_and_gradient_measure,
     riesz_potential_field,
-    riesz_potential_measure,
 )
 
 CHECK_NAMES = {"weak", "representation", "sandwich", "decay", "positivity"}
@@ -64,9 +65,6 @@ class ConstantsLedger:
     c_step: float
     contraction: float
     a_limit: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def constants_ledger(params: Parameters, theta: float) -> ConstantsLedger:
@@ -131,19 +129,9 @@ class SolveReport:
     weak_residuals = _check_value("weak", "residuals", ())
 
     def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "sup_u": list(self.sup_u),
-            "sup_increment": list(self.sup_increment),
-            "sup_gradient_increment": list(self.sup_gradient_increment),
-            "increment_ratios": list(self.increment_ratios),
-            "first_increment": self.first_increment,
-            "gradient_bound_ratio": self.gradient_bound_ratio,
-            "checks": dict(self.checks),
-            "admissibility": dict(self.admissibility),
-            "ledger": dict(self.ledger),
-        }
+        out = asdict(self)
+        del out["checks_ok"]
+        return out
 
 
 def representation_residual(
@@ -166,14 +154,11 @@ def sandwich_check(u: GridField, u0: GridField) -> tuple[bool, float]:
     return lower_ok, upper
 
 
-def gradient_bound_check(
-    grad_u: VectorGridField, omega: Measure, params: Parameters
-) -> float:
-    """max |grad u| / I_{2s-1}(omega) over points where the potential lives."""
-    v = riesz_potential_measure(omega, 2.0 * params.s - 1.0, grad_u.grid).values
+def gradient_bound_check(grad_u: VectorGridField, v: GridField) -> float:
+    """max |grad u| / v over points where v = I_{2s-1}(omega) lives."""
     mag = grad_u.magnitude().values
-    keep = v >= 1e-14
-    return float(np.max(mag[keep] / v[keep])) if keep.any() else 0.0
+    keep = v.values >= 1e-14
+    return float(np.max(mag[keep] / v.values[keep])) if keep.any() else 0.0
 
 
 def run_checks(
@@ -212,7 +197,7 @@ def run_checks(
         fit = decay_fit(u, omega, params)
         dev = abs(fit.slope - (2.0 * params.s - params.n))
         passed = dev <= _DECAY_SLOPE_TOL
-        results["decay"] = fit.to_dict() | {"deviation": dev, "pass": passed}
+        results["decay"] = asdict(fit) | {"deviation": dev, "pass": passed}
         ok = ok and passed
     if "positivity" in names:
         min_value, bound_ok = positivity_check(u, omega, params)
@@ -245,18 +230,18 @@ def picard_solve(
     path, and land in report.checks and report.checks_ok.
     """
     ledger = constants_ledger(params, theta)
-    report = SolveReport(ledger=ledger.to_dict())
+    report = SolveReport(ledger=asdict(ledger))
 
     if omega.total_mass() == 0.0:
         # u = 0 solves the problem exactly: no guard, no iteration
-        u = u0 = grid.zeros()
+        u = u0 = v = grid.zeros()
         grad = VectorGridField(grid, tuple(grid.zeros() for _ in range(grid.n)))
         report.converged = True
         report.iterations = 1
     else:
-        u, grad, u0 = _iterate(omega, params, grid, ledger, tol, max_iter, report)
+        u, grad, u0, v = _iterate(omega, params, grid, ledger, tol, max_iter, report)
     report.checks, report.checks_ok = run_checks(u, grad, omega, u0, params, checks)
-    report.gradient_bound_ratio = gradient_bound_check(grad, omega, params)
+    report.gradient_bound_ratio = gradient_bound_check(grad, v)
     return u, grad, report
 
 
@@ -268,19 +253,20 @@ def _iterate(
     tol: float,
     max_iter: int,
     report: SolveReport,
-) -> tuple[GridField, VectorGridField, GridField]:
-    """The admissibility guard and the Picard loop; returns u, grad u and u0."""
-    adm = wolff_ratio(omega, params, grid)
-    report.admissibility = adm.to_dict()
+) -> tuple[GridField, VectorGridField, GridField, GridField]:
+    """The admissibility guard and the Picard loop.
+
+    Returns u, grad u, u0 = I_2s(omega) and the guard's I_{2s-1}(omega).
+    """
+    adm, v = wolff_ratio_and_potential(omega, params, grid)
+    report.admissibility = asdict(adm)
     if adm.c1_hat > ledger.c1 * (1.0 + 1e-12):
         raise NotAdmissible(
             f"measured ratio {adm.c1_hat:.3e} exceeds theta x threshold "
             f"{ledger.c1:.3e}; rescale with scale_measure_admissible first"
         )
 
-    s2 = 2.0 * params.s
-    u0 = riesz_potential_measure(omega, s2, grid)
-    g0 = riesz_gradient_measure(omega, params.s, grid)
+    u0, g0 = riesz_potential_and_gradient_measure(omega, params.s, grid)
     g0_vals = [c.values for c in g0.components]
 
     u = u0.values.copy()
@@ -332,4 +318,4 @@ def _iterate(
 
     report.converged = converged
     report.iterations = iterations
-    return u_field, grad_field, u0
+    return u_field, grad_field, u0, v

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fracpot
+from fracpot import riesz
 from fracpot.cli import load_config, main
 from fracpot.io import read_field, write_field
 from fracpot.riesz import available_cpus
@@ -123,10 +124,10 @@ def test_cli_import_does_not_load_scipy_signal():
 
 
 def _count_calls(monkeypatch, *names):
-    """Wrap each named fracpot function wherever a fracpot module binds it."""
+    """Wrap each named fracpot (or fracpot.riesz) function wherever a fracpot module binds it."""
     counts = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(fracpot, name)
+        original = getattr(fracpot, name, None) or getattr(riesz, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
@@ -148,20 +149,26 @@ def test_solve_runs_each_check_once(tmp_path, monkeypatch):
         "sandwich_check",
         "wolff_ratio",
         "riesz_potential_measure",
+        "_convolve",
     )
     cfg = _write_config(tmp_path / "run.json")
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg), "--out", str(out), "--auto-scale"]) == 0
-    # one pass of the five default test functions, one of each other check;
-    # the Wolff ratio is measured by the scaling and by the guard, and
-    # I_2s(omega) once, I_{2s-1}(omega) by each Wolff ratio and the
-    # gradient bound
+    # one pass of the five default test functions, one of each other check.
+    # The Wolff ratio is measured twice: by the scaling through wolff_ratio,
+    # and by the guard through wolff_ratio_and_potential, which keeps its
+    # I_{2s-1}(omega) for the gradient bound.  Those are the only
+    # riesz_potential_measure calls, since I_2s(omega) and its gradient
+    # share one transform.  Convolutions: two per Wolff ratio, one for u0
+    # and its gradient, one per Picard step (6 here) and one for the
+    # representation residual
     assert counts == {
         "weak_residual": 5,
         "representation_residual": 1,
         "sandwich_check": 1,
-        "wolff_ratio": 2,
-        "riesz_potential_measure": 4,
+        "wolff_ratio": 1,
+        "riesz_potential_measure": 2,
+        "_convolve": 12,
     }
     report = json.loads((out / "report.json").read_text())
     for key in (
@@ -172,7 +179,8 @@ def test_solve_runs_each_check_once(tmp_path, monkeypatch):
     ):
         assert key not in report
     # verify recomputes the checks on the stored fields through the same
-    # path, from one I_2s(omega)
+    # path, from one I_2s(omega): that and the representation residual are
+    # its two convolutions
     counts.update(dict.fromkeys(counts, 0))
     assert main(["verify", "--config", str(cfg), "--fields", str(out)]) == 0
     assert counts == {
@@ -181,6 +189,7 @@ def test_solve_runs_each_check_once(tmp_path, monkeypatch):
         "sandwich_check": 1,
         "wolff_ratio": 0,
         "riesz_potential_measure": 1,
+        "_convolve": 2,
     }
     verify = json.loads((out / "verify_report.json").read_text())
     assert report["checks"] == verify["checks"]
@@ -312,6 +321,29 @@ def test_verify_grid_mismatch(solved, tmp_path):
     assert rc == 5
 
 
+@pytest.mark.parametrize(
+    "ball",
+    [
+        {"center": [0.0, 0.0, 0.0], "radius": 1.0},  # 3-D centre, 2-D run
+        {"center": [0.0, 0.0], "radius": 3.0},  # support radius above L / 4
+    ],
+)
+def test_verify_and_diagnostics_check_the_stored_measure(solved, tmp_path, capsys, ball):
+    cfg, out = solved
+    fields = tmp_path / "fields"
+    fields.mkdir()
+    for path in out.glob("*.field*"):
+        (fields / path.name).write_bytes(path.read_bytes())
+    spec = {"kind": "uniform_ball", "ball": ball, "amplitude": 0.03}
+    (fields / "measure.json").write_text(json.dumps(spec))
+    for command in ("verify", "diagnostics"):
+        rc = main([command, "--config", str(cfg), "--fields", str(fields)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+    assert not (fields / "verify_report.json").exists()
+    assert not (fields / "diagnostics.json").exists()
+
+
 def test_diagnostics_writes_report(solved):
     cfg, out = solved
     rc = main(["diagnostics", "--config", str(cfg), "--fields", str(out)])
@@ -383,6 +415,28 @@ def test_capacity_mask_file_payload(tmp_path, capsys, spec):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["lower_bound"] <= payload["value"] <= payload["upper_bound"]
+
+
+@pytest.mark.parametrize(
+    "spec", [{"ball": {"radius": 1}}, {"ball": {"center": [0, 0]}}, {"ball": [0, 0, 1]}]
+)
+def test_capacity_mask_file_ball_needs_a_center_and_a_radius(tmp_path, capsys, spec):
+    mask = tmp_path / "mask.json"
+    mask.write_text(json.dumps(spec))
+    rc = main(
+        ["capacity", "--alpha", "0.5", "--p", "2.0", "--N", "16", "--mask-file", str(mask)]
+    )
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radii", ["1", "1,1.0"])
+def test_capacity_sweep_needs_two_distinct_radii(capsys, radii):
+    rc = main(["capacity", "--alpha", "0.5", "--p", "2.0", "--N", "16", "--sweep", radii])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before any estimate ran
+    assert "two distinct radii" in captured.err
 
 
 @pytest.mark.parametrize("cell", [[-1, -1], [16, 0]])

@@ -18,7 +18,6 @@ from fracpot import (
     Parameters,
     gradient_comparison_constant,
     riesz_constant,
-    riesz_gradient_field,
     riesz_gradient_measure,
     riesz_potential_field,
     riesz_potential_measure,
@@ -33,6 +32,7 @@ from fracpot.riesz import (
     fft_workers,
     riesz_cell_average,
     riesz_potential_and_gradient_field,
+    riesz_potential_and_gradient_measure,
     singular_cell_average,
 )
 
@@ -186,7 +186,8 @@ def _numpy_reference(f: GridField, s: float) -> list[np.ndarray]:
 
 def _engine(f: GridField, s: float) -> list[np.ndarray]:
     u = riesz_potential_field(f, 2.0 * s).values
-    return [u, *(c.values for c in riesz_gradient_field(f, s).components)]
+    grad = riesz_gradient_measure(Measure.from_density(f), s, f.grid)
+    return [u, *(c.values for c in grad.components)]
 
 
 @pytest.mark.parametrize("N", [64, 128])
@@ -233,6 +234,23 @@ def test_fused_potential_and_gradient_equal_separate_calls(n, N):
     fused = [u.values, *(c.values for c in grad.components)]
     for a, b in zip(fused, _engine(f, 0.75)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "omega",
+    [
+        Measure.from_atoms(np.array([[0.3, -0.2], [-1.0, 0.5]]), np.array([1.0, 0.4])),
+        Measure.uniform_ball(np.array([0.2, 0.0]), 1.0),
+    ],
+)
+def test_fused_measure_path_equals_separate_calls(omega):
+    # atoms keep their exact sums; a rasterised datum shares one transform
+    g = Grid(2, 8.0, 64)
+    u, grad = riesz_potential_and_gradient_measure(omega, 0.75, g)
+    assert np.array_equal(u.values, riesz_potential_measure(omega, 1.5, g).values)
+    separate = riesz_gradient_measure(omega, 0.75, g).components
+    for a, b in zip(grad.components, separate):
+        assert np.array_equal(a.values, b.values)
 
 
 def test_potential_rejects_negative_density():
@@ -283,7 +301,7 @@ def test_gradient_field_matches_measure_path_for_smooth_density():
     vals[X**2 + Y**2 > 9.0] = 0.0
     f = GridField(g, vals)
     om = Measure.from_density(f, support_radius=3.0)
-    a = riesz_gradient_field(f, 0.75).magnitude().values
+    a = riesz_potential_and_gradient_field(f, 0.75)[1].magnitude().values
     b = riesz_gradient_measure(om, 0.75, g).magnitude().values
     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(b)
 

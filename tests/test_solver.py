@@ -1,5 +1,7 @@
 """Constants ledger identities and the successive-approximation solver."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -66,7 +68,7 @@ def test_ledger_rejects_theta_outside_unit_interval():
 
 
 def test_ledger_serialises():
-    d = constants_ledger(PARAMS, 0.5).to_dict()
+    d = asdict(constants_ledger(PARAMS, 0.5))
     assert d["theta"] == 0.5
     assert set(d) >= {"c_grad", "c1_threshold", "c1", "contraction", "a_limit"}
 
