@@ -86,15 +86,6 @@ class DominationReport:
     def max_ratio(self) -> float:
         return max(self.ratios) if self.ratios else 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "max_ratio": self.max_ratio,
-            "balls": [
-                {"center": list(c), "radius": r, "ratio": ratio}
-                for (c, r), ratio in zip(self.balls, self.ratios)
-            ],
-        }
-
 
 def ball_capacity_upper(n: int, alpha: float, p: float, r: float) -> float:
     """Closed-form upper bound C * r^(n - alpha p) for cap of a ball."""

@@ -54,6 +54,17 @@ class Parameters:
         object.__setattr__(self, "p_star", p_star)
 
 
+def squared_norm(offsets: list[np.ndarray]) -> np.ndarray:
+    """|y|^2 over an open meshgrid of displacements y, summed axis by axis.
+
+    The one place distances on the grid are computed: the same y gives the same bits.
+    """
+    out = np.zeros(np.broadcast_shapes(*[y.shape for y in offsets]))
+    for y in offsets:
+        out += y**2
+    return out
+
+
 @dataclass(frozen=True)
 class Grid:
     """Cell-centered uniform grid on [-L, L]^n with N cells per axis."""
@@ -96,18 +107,14 @@ class Grid:
         block = block or (slice(None),) * self.n
         return list(np.meshgrid(*[axis[b] for b in block], indexing="ij", sparse=True))
 
-    def dist2(self, x0, block: tuple[slice, ...] | None = None) -> np.ndarray:
-        """Squared distance from x0 of every cell center, or of a block's.
-
-        The one place distances on the grid are computed; the per-axis
-        summation order is fixed, so results are reproducible bitwise.
-        """
+    def offsets(self, x0, block: tuple[slice, ...] | None = None) -> list[np.ndarray]:
+        """Open meshgrid of the displacements x - x0 of the cell centers, or of a block's."""
         x0 = np.asarray(x0, dtype=float).ravel()
-        coords = self.coords(block)
-        out = np.zeros(np.broadcast_shapes(*[c.shape for c in coords]))
-        for i, c in enumerate(coords):
-            out = out + (c - x0[i]) ** 2
-        return out
+        return [c - x0[i] for i, c in enumerate(self.coords(block))]
+
+    def dist2(self, x0, block: tuple[slice, ...] | None = None) -> np.ndarray:
+        """Squared distance from x0 of every cell center, or of a block's."""
+        return squared_norm(self.offsets(x0, block))
 
     def radii(self) -> np.ndarray:
         """Distance of every cell center from the origin, grid-shaped."""
@@ -152,10 +159,7 @@ class VectorGridField:
                 raise GridMismatch("vector components live on different grids")
 
     def magnitude(self) -> GridField:
-        acc = np.zeros(self.grid.shape)
-        for comp in self.components:
-            acc += comp.values**2
-        return GridField(self.grid, np.sqrt(acc))
+        return GridField(self.grid, np.sqrt(squared_norm([c.values for c in self.components])))
 
 
 def _cap_volume(n: int, r: float, x: float) -> float:
@@ -297,17 +301,17 @@ class Measure:
         """Piecewise-constant density of this measure on the given grid.
 
         Atomic measures have no density representation; callers evaluate
-        their potentials analytically instead.
+        their potentials analytically instead.  A measure of another
+        dimension than the grid is a GridMismatch.
         """
         if self.kind == "density":
             if self.density.grid != grid:
                 raise GridMismatch("density measure lives on a different grid")
             return self.density
         if self.kind == "uniform_ball":
-            center = np.zeros(grid.n)
-            k = min(grid.n, self.ball_center.size)
-            center[:k] = self.ball_center[:k]
-            dist2 = grid.dist2(center)
+            if self.dimension != grid.n:
+                raise GridMismatch(f"{self.dimension}-D ball on a {grid.n}-D grid")
+            dist2 = grid.dist2(self.ball_center)
             values = np.where(dist2 < self.ball_radius**2, self.ball_amplitude, 0.0)
             return GridField(grid, values)
         raise ValueError("atomic measures are evaluated analytically, not rasterised")

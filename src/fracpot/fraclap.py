@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, GridField, Measure, Parameters, VectorGridField
+from .core import Grid, GridField, Measure, Parameters, VectorGridField, squared_norm
 from .errors import BoundaryLeak, GridMismatch
 from .riesz import atom_quadrature_correction, fourier_multiplier
 
@@ -46,10 +46,8 @@ class TestFunction:
         if self.width <= 0.0:
             raise ValueError("test function width must be positive")
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        center = np.asarray(self.center, dtype=float)
-        r2 = np.sum((pts - center) ** 2, axis=-1) / self.width**2
+    def _profile(self, r2: np.ndarray) -> np.ndarray:
+        """The function at squared distance r2 * width^2 from its center."""
         if self.kind == "gaussian":
             return self.amplitude * np.exp(-0.5 * r2)
         out = np.zeros_like(r2)
@@ -58,18 +56,17 @@ class TestFunction:
         out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
         return out
 
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        center = np.asarray(self.center, dtype=float)
+        return self._profile(np.sum((pts - center) ** 2, axis=-1) / self.width**2)
+
     def on_grid(self, grid: Grid) -> GridField:
         if len(self.center) != grid.n:
             raise GridMismatch("test function center dimension does not match grid")
         r2 = grid.dist2(self.center)
         r2 /= self.width**2
-        if self.kind == "gaussian":
-            vals = self.amplitude * np.exp(-0.5 * r2)
-        else:
-            vals = np.zeros(grid.shape)
-            inside = r2 < 1.0
-            vals[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
-        return GridField(grid, vals)
+        return GridField(grid, self._profile(r2))
 
 
 def default_test_functions(grid: Grid) -> list[TestFunction]:
@@ -133,10 +130,8 @@ def fractional_laplacian_spectral(phi: GridField, s: float) -> GridField:
             "enlarge the box or shrink the field"
         )
     xi = 2.0 * np.pi * np.fft.fftfreq(g.N, d=g.h)
-    xi2 = np.zeros((g.N,) * (g.n - 1) + (g.N // 2 + 1,))
-    for m in np.meshgrid(*[xi] * (g.n - 1), xi[: g.N // 2 + 1], indexing="ij", sparse=True):
-        xi2 += m**2
-    symbol = xi2**s  # 0^0 = 1 keeps s = 0 the identity
+    mesh = np.meshgrid(*[xi] * (g.n - 1), xi[: g.N // 2 + 1], indexing="ij", sparse=True)
+    symbol = squared_norm(mesh) ** s  # 0^0 = 1 keeps s = 0 the identity
     return GridField(g, fourier_multiplier(phi.values, symbol))
 
 
@@ -172,19 +167,14 @@ def weak_residual(
         for atom, w in zip(omega.atoms, omega.weights):
             block, delta = atom_quadrature_correction(g, atom, 2.0 * params.s)
             a_term += w * float(np.sum(delta * lap_phi.values[block])) * g.cell_volume
-    if grad_u is None:
-        b_term = 0.0
-    else:
-        if grad_u.grid != g:
-            raise GridMismatch("gradient field lives on a different grid")
-        b_term = float(
-            np.sum(grad_u.magnitude().values ** params.q * phig.values) * g.cell_volume
-        )
-    if omega.kind == "atomic":
         c_term = float(np.sum(omega.weights * phi.evaluate(omega.atoms)))
     else:
-        density = omega.as_density(g)
-        c_term = float(np.sum(density.values * phig.values) * g.cell_volume)
+        c_term = float(np.sum(omega.as_density(g).values * phig.values) * g.cell_volume)
+    b_term = 0.0
+    if grad_u is not None:
+        if grad_u.grid != g:
+            raise GridMismatch("gradient field lives on a different grid")
+        b_term = float(np.sum(grad_u.magnitude().values ** params.q * phig.values) * g.cell_volume)
     defect = abs(a_term - b_term - c_term)
     denom = max(abs(a_term), abs(b_term) + abs(c_term))
     if denom < 1e-14:

@@ -92,11 +92,16 @@ def measure_from_dict(spec: dict, base_dir: Path | str = ".") -> Measure:
         raise ConfigError(f"unknown keys in measure spec: {sorted(extra)}")
     radius = spec.get("support_radius")
     if kind == "atomic":
-        atoms = spec.get("atoms", [])
-        if not atoms:
-            raise ConfigError("atomic measure needs at least one atom")
-        pts = np.array([a["x"] for a in atoms], dtype=float)
-        w = np.array([a["w"] for a in atoms], dtype=float)
+        atoms = spec.get("atoms")
+        if not isinstance(atoms, list) or not atoms:
+            raise ConfigError("atomic measure needs a non-empty list of atoms")
+        try:
+            pts = np.array([a["x"] for a in atoms], dtype=float)
+            w = np.array([a["w"] for a in atoms], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"each atom needs coordinates 'x' and a weight 'w': {exc!r}") from exc
+        if pts.ndim != 2 or w.ndim != 1:
+            raise ConfigError("each atom needs a list of coordinates 'x' and a number 'w'")
         return Measure.from_atoms(pts, w, support_radius=radius)
     if kind == "density":
         if "density_file" not in spec:

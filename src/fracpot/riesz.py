@@ -5,25 +5,28 @@ Kernel normalisation:
     I_alpha(omega)(x) = c(n, alpha) * integral |x - y|^(alpha - n) d omega(y),
     c(n, alpha) = pi^(-n/2) 2^(-alpha) Gamma((n - alpha)/2) / Gamma(alpha/2).
 
-Gridded densities are convolved with the kernel sampled at cell-center
-offsets; the offset-zero cell replaces the singular sample by the exact
-average of the kernel over the ball of the same volume as one cell,
+Each kernel is defined once, as a function of the displacements y from the
+source.  A singular sample (|y| < 1e-12 h, so y = 0 on cell-center offsets)
+is replaced by the exact average of the kernel over the ball of the same
+volume as one cell, which keeps the quadrature integrable-singularity aware
+without any tuning knob: for the scalar kernel
 
     (1/h^n) * c * omega_n * rho^alpha / alpha,   rho = h * v_n^(-1/n),
 
-which keeps the quadrature integrable-singularity aware without any tuning
-knob.  Atomic measures never touch the grid: their potentials are exact
-kernel sums, with the same equal-volume-ball average substituted when an
-evaluation point sits on an atom.
+and 0 for the odd gradient kernel.  The same definition gives the padded
+kernels of the grid convolution, the exact kernel sums of atomic measures,
+which never touch the grid, and the samples atom_quadrature_correction
+trades for cell averages.  Where the displacements are exact multiples of h
+(a dyadic grid), a unit atom at a cell center reproduces the convolution
+kernel bit for bit.
 
-Every grid convolution is one free-space convolution on the grid padded to
-2N points per axis, by scipy.fft transforms pruned of the all-zero input
-lines and the cropped output lines (Hockney-Eastwood).  Kernel transforms
-are cached.  I_2s and its gradient share one forward transform: for a
-gridded density in riesz_potential_and_gradient_field, for any measure in
-riesz_potential_and_gradient_measure, whose gradient half is
-riesz_gradient_measure.  Large transforms run on every available CPU
-(fft_workers changes the count), which never changes a result.
+Every other measure is rasterised and convolved, in one free-space
+convolution on the grid padded to 2N points per axis, by scipy.fft
+transforms pruned of the all-zero input lines and the cropped output lines
+(Hockney-Eastwood).  Kernel transforms are cached.  I_2s and its gradient
+share one forward transform, or one pass over the atoms.  Large transforms
+run on every available CPU (fft_workers changes the count), which never
+changes a result.
 
 Differentiating |x - y|^(2s - n) gives the vector kernel
 
@@ -47,8 +50,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft
 
-from .core import Grid, GridField, Measure, VectorGridField
-from .errors import AlphaOutOfRange, ConfigError, NegativeDensity
+from .core import Grid, GridField, Measure, VectorGridField, squared_norm
+from .errors import AlphaOutOfRange, ConfigError, GridMismatch, NegativeDensity
 from .special import ball_volume, gamma, sphere_surface
 
 
@@ -219,9 +222,8 @@ def atom_quadrature_correction(
         block.append(slice(lo, hi))
         crop.append(slice(lo - start, hi - start))
     block = tuple(block)
-    r = np.sqrt(grid.dist2(atom, block))
-    scaled = averages[tuple(crop)] * grid.h ** (alpha - n)
-    return block, scaled - _atom_kernel_samples(grid, r, alpha)
+    samples = next(_scalar_kernels(grid, alpha, grid.offsets(atom, block)))
+    return block, averages[tuple(crop)] * grid.h ** (alpha - n) - samples
 
 
 # ---------------------------------------------------------------------------
@@ -303,21 +305,35 @@ def fourier_multiplier(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     return scipy.fft.irfftn(spec, s=values.shape, axes=axes, overwrite_x=True, workers=w)
 
 
-def _offset_axis(N: int) -> np.ndarray:
-    # circular layout 0..N, -N+1..-1; the slot at offset N is never read by
-    # the linear convolution restricted to the first N samples.
-    return np.concatenate([np.arange(0, N + 1), np.arange(-N + 1, 0)]).astype(float)
+def _regularised_r2(grid: Grid, offsets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """|y|^2 at the displacements y, 1 where y is singular, and the mask of singular y."""
+    r2 = squared_norm(offsets)
+    hit = r2 < (1e-12 * grid.h) ** 2
+    r2[hit] = 1.0
+    return r2, hit
 
 
-def _padded_r2(grid: Grid) -> tuple[np.ndarray, list[np.ndarray]]:
-    """|offset|^2 on the padded grid (1 at offset 0) and the sparse offset mesh."""
-    axes = [_offset_axis(grid.N) * grid.h for _ in range(grid.n)]
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    r2 = np.zeros((2 * grid.N,) * grid.n)
-    for m in mesh:
-        r2 += m**2
-    r2[(0,) * grid.n] = 1.0
-    return r2, mesh
+def _scalar_kernels(grid: Grid, alpha: float, offsets: list[np.ndarray]):
+    """c |y|^(alpha - n) at the displacements y, as a family of one."""
+    c = riesz_constant(grid.n, alpha)
+    kern, hit = _regularised_r2(grid, offsets)
+    kern **= (alpha - grid.n) / 2.0
+    kern *= c
+    kern[hit] = singular_cell_average(grid, alpha)
+    yield kern
+
+
+def _gradient_kernels(grid: Grid, s: float, offsets: list[np.ndarray]):
+    """The n components of -(n - 2s) c y |y|^(2s - n - 2) at the displacements y, in turn."""
+    n = grid.n
+    c = riesz_constant(n, 2.0 * s)
+    radial, hit = _regularised_r2(grid, offsets)
+    radial **= (2.0 * s - n - 2.0) / 2.0
+    radial *= -(n - 2.0 * s) * c
+    for y in offsets:
+        comp = radial * y
+        comp[hit] = 0.0
+        yield comp
 
 
 def _zero_offset_n_slots(kern: np.ndarray, N: int) -> np.ndarray:
@@ -327,37 +343,24 @@ def _zero_offset_n_slots(kern: np.ndarray, N: int) -> np.ndarray:
     return kern
 
 
-def _scalar_kernels(grid: Grid, alpha: float):
-    """The padded scalar kernel, as a family of one."""
-    c = riesz_constant(grid.n, alpha)
-    kern, _ = _padded_r2(grid)
-    kern **= (alpha - grid.n) / 2.0
-    kern *= c
-    kern[(0,) * grid.n] = singular_cell_average(grid, alpha)
-    yield _zero_offset_n_slots(kern, grid.N)
-
-
-def _gradient_kernels(grid: Grid, s: float):
-    """The n padded components of the gradient kernel, one at a time."""
-    n = grid.n
-    c = riesz_constant(n, 2.0 * s)
-    radial, mesh = _padded_r2(grid)
-    radial **= (2.0 * s - n - 2.0) / 2.0
-    radial *= -(n - 2.0 * s) * c
-    for ax in range(n):
-        comp = radial * mesh[ax]
-        comp[(0,) * n] = 0.0  # odd kernel: exact ball average vanishes
-        yield _zero_offset_n_slots(comp, grid.N)
-
-
 _PLAN_CACHE: dict[tuple, list[np.ndarray]] = {}
 
 
 def _kernel_hats(grid: Grid, order: float, family) -> list[np.ndarray]:
-    """Transforms of the kernels family(grid, order), cached per grid and order."""
+    """Transforms of family(grid, order) on the padded offsets, cached per grid and order.
+
+    Offsets run circularly, 0..N, -N+1..-1 times h; the slot at offset N is
+    never read by the linear convolution restricted to the first N samples.
+    """
     key = (grid.n, grid.N, float(grid.L).hex(), float(order).hex(), family.__name__)
     if key not in _PLAN_CACHE:
-        _PLAN_CACHE[key] = [_rfftn_padded(k, 2 * grid.N) for k in family(grid, order)]
+        N = grid.N
+        axis = np.concatenate([np.arange(0, N + 1), np.arange(-N + 1, 0)]) * grid.h
+        offsets = np.meshgrid(*[axis] * grid.n, indexing="ij", sparse=True)
+        _PLAN_CACHE[key] = [
+            _rfftn_padded(_zero_offset_n_slots(k, N), 2 * N)
+            for k in family(grid, order, offsets)
+        ]
     return _PLAN_CACHE[key]
 
 
@@ -391,63 +394,47 @@ def riesz_potential_and_gradient_field(
     return u, VectorGridField(f.grid, tuple(grad))
 
 
-def _atom_kernel_samples(grid: Grid, r: np.ndarray, alpha: float) -> np.ndarray:
-    """Kernel at distances r from a unit atom; singular-cell average where r ~ 0."""
-    hit = r < 1e-12 * grid.h
-    r_safe = np.where(hit, 1.0, r)
-    contrib = riesz_constant(grid.n, alpha) * r_safe ** (alpha - grid.n)
-    return np.where(hit, singular_cell_average(grid, alpha), contrib)
+def _measure_potentials(measure: Measure, grid: Grid, *families) -> list[GridField]:
+    """The potentials of measure under each kernel of the (order, family) pairs.
+
+    Atoms are summed exactly, all families in one pass per atom; every other
+    kind is rasterised and goes through one convolution.
+    """
+    if measure.dimension != grid.n:
+        raise GridMismatch(f"{measure.dimension}-D measure on a {grid.n}-D grid")
+    if measure.kind != "atomic":
+        return _convolve(measure.as_density(grid), *families)
+
+    def kernels(offsets):
+        return (k for order, family in families for k in family(grid, order, offsets))
+
+    # an empty mesh counts the kernels, so a measure without atoms gives zeros
+    sums = [np.zeros(grid.shape) for _ in kernels([np.empty(0)] * grid.n)]
+    for atom, w in zip(measure.atoms, measure.weights):
+        for acc, k in zip(sums, kernels(grid.offsets(atom))):
+            acc += w * k
+    return [GridField(grid, v) for v in sums]
 
 
 def riesz_potential_measure(measure: Measure, alpha: float, grid: Grid) -> GridField:
-    """I_alpha(omega) sampled at the cell centers.
-
-    Atomic measures are summed analytically; when a grid point coincides with
-    an atom the atom's own contribution takes the singular-cell average.
-    Density-type measures go through the grid convolution.
-    """
-    riesz_constant(grid.n, alpha)  # rejects alpha outside (0, n) on every path
-    if measure.kind == "atomic":
-        out = np.zeros(grid.shape)
-        for atom, w in zip(measure.atoms, measure.weights):
-            out += w * _atom_kernel_samples(grid, np.sqrt(grid.dist2(atom)), alpha)
-        return GridField(grid, out)
-    return riesz_potential_field(measure.as_density(grid), alpha)
+    """I_alpha(omega) at the cell centers: exact kernel sums for atoms, else one convolution."""
+    return _measure_potentials(measure, grid, (alpha, _scalar_kernels))[0]
 
 
 def riesz_gradient_measure(measure: Measure, s: float, grid: Grid) -> VectorGridField:
-    """Gradient of I_2s(omega); vector kernel summed exactly for atoms."""
-    n = grid.n
-    if measure.kind == "atomic":
-        c = riesz_constant(n, 2.0 * s)
-        factor = -(n - 2.0 * s) * c
-        comps = [np.zeros(grid.shape) for _ in range(n)]
-        coords = grid.coords()
-        tiny = 1e-12 * grid.h
-        for atom, w in zip(measure.atoms, measure.weights):
-            r = np.sqrt(grid.dist2(atom))
-            hit = r < tiny
-            r_safe = np.where(hit, 1.0, r)
-            radial = factor * r_safe ** (2.0 * s - n - 2.0)
-            radial = np.where(hit, 0.0, radial)  # odd kernel averages to zero
-            for i in range(n):
-                comps[i] += w * radial * (coords[i] - atom[i])
-        return VectorGridField(grid, tuple(GridField(grid, v) for v in comps))
-    f = measure.as_density(grid)
-    return VectorGridField(grid, tuple(_convolve(f, (s, _gradient_kernels))))
+    """Gradient of I_2s(omega): exact kernel sums for atoms, else one convolution."""
+    return VectorGridField(grid, tuple(_measure_potentials(measure, grid, (s, _gradient_kernels))))
 
 
 def riesz_potential_and_gradient_measure(
     measure: Measure, s: float, grid: Grid
 ) -> tuple[GridField, VectorGridField]:
-    """I_2s(omega) and its gradient: exact sums for atoms, else one transform.
+    """I_2s(omega) and its gradient, from one pass over the atoms or one transform.
 
     Bitwise equal to riesz_potential_measure(measure, 2s, grid) and
     riesz_gradient_measure(measure, s, grid).
     """
-    if measure.kind == "atomic":
-        return (
-            riesz_potential_measure(measure, 2.0 * s, grid),
-            riesz_gradient_measure(measure, s, grid),
-        )
-    return riesz_potential_and_gradient_field(measure.as_density(grid), s)
+    u, *grad = _measure_potentials(
+        measure, grid, (2.0 * s, _scalar_kernels), (s, _gradient_kernels)
+    )
+    return u, VectorGridField(grid, tuple(grad))

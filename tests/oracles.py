@@ -219,6 +219,15 @@ def padded_fft_convolution(
     return np.fft.irfftn(prod, s=shape, axes=axes)[(slice(0, N),) * n] * cell_volume
 
 
+def padded_offsets(n: int, N: int, h: float) -> list[np.ndarray]:
+    """Open meshgrid of the offsets k h on the grid padded to 2N points per axis.
+
+    Laid out circularly as padded_fft_convolution expects: k = 0..N, -N+1..-1.
+    """
+    axis = np.concatenate([np.arange(0, N + 1), np.arange(-N + 1, 0)]) * h
+    return np.meshgrid(*[axis] * n, indexing="ij", sparse=True)
+
+
 def disk_intersection_area(d: float, r1: float, r2: float) -> float:
     """Area of the intersection of two disks with centre distance d."""
     if d >= r1 + r2:

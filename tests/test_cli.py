@@ -275,6 +275,24 @@ def test_config_rejects_measure_of_another_dimension(tmp_path, capsys, measure):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "atoms",
+    [
+        5,
+        [{"x": [0.0, 0.0]}],
+        [{"w": 1.0}],
+        [{"x": [0.0, 0.0], "w": 1.0}, {"x": [0.5], "w": 1.0}],
+        [{"x": 0.5, "w": 1.0}],
+    ],
+    ids=["not-a-list", "no-weight", "no-coordinates", "ragged", "scalar-coordinates"],
+)
+def test_config_rejects_malformed_atoms(tmp_path, capsys, atoms):
+    measure = {"kind": "atomic", "atoms": atoms, "support_radius": 1.0}
+    cfg = _write_config(tmp_path / "bad.json", measure=measure)
+    assert main(["wolff", "--config", str(cfg)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_config_loader_round_trip(tmp_path):
     cfg = _write_config(tmp_path / "ok.json")
     loaded = load_config(cfg)
@@ -342,6 +360,19 @@ def test_verify_and_diagnostics_check_the_stored_measure(solved, tmp_path, capsy
         assert "error:" in capsys.readouterr().err
     assert not (fields / "verify_report.json").exists()
     assert not (fields / "diagnostics.json").exists()
+
+
+def test_verify_rejects_a_stored_atom_without_a_weight(solved, tmp_path, capsys):
+    cfg, out = solved
+    fields = tmp_path / "fields"
+    fields.mkdir()
+    for path in out.glob("*.field*"):
+        (fields / path.name).write_bytes(path.read_bytes())
+    spec = {"kind": "atomic", "atoms": [{"x": [0.0, 0.0]}], "support_radius": 1.0}
+    (fields / "measure.json").write_text(json.dumps(spec))
+    assert main(["verify", "--config", str(cfg), "--fields", str(fields)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (fields / "verify_report.json").exists()
 
 
 def test_diagnostics_writes_report(solved):

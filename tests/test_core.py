@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fracpot import Grid, GridField, Measure, Parameters
 from fracpot.errors import (
     DimensionTooLow,
+    GridMismatch,
     NegativeDensity,
     OrderOutOfRange,
     SubcriticalExponent,
@@ -181,6 +182,13 @@ def test_as_density_rasterizes_uniform_ball():
     assert g.cell_volume * dens.values.sum() == pytest.approx(
         om.total_mass(), rel=2.0 * g.h
     )
+
+
+def test_as_density_refuses_a_ball_of_another_dimension():
+    g = Grid(2, 4.0, 64)
+    om = Measure.uniform_ball(np.array([0.5, 0.0, 0.0]), 1.0)
+    with pytest.raises(GridMismatch):
+        om.as_density(g)
 
 
 @given(t=st.floats(min_value=1e-3, max_value=1e3))

@@ -1,8 +1,8 @@
-"""Source hygiene: no fracpot module keeps an import it does not use.
+"""Source hygiene: fracpot keeps no unused import and no orphaned private name.
 
 A refactor that moves work from one module to another tends to leave the
-old imports behind; this catches them.  __init__.py is exempt, since its
-imports are the package's re-exports.
+old imports and helpers behind; this catches them.  __init__.py is exempt
+from the import check, since its imports are the package's re-exports.
 """
 
 import ast
@@ -12,6 +12,7 @@ import pytest
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "fracpot"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCE.glob("*.py")}
 
 
 def _imported_names(tree: ast.Module) -> set[str]:
@@ -37,3 +38,38 @@ def test_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = _imported_names(tree) - _used_names(tree)
     assert not unused, f"{path.name} imports but never uses {sorted(unused)}"
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Top-level functions, classes and constants whose names start with one underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_private_name_is_referenced():
+    referenced = set().union(*map(_referenced_names, TREES.values()))
+    orphans = {
+        f"{module}:{name}"
+        for module, tree in TREES.items()
+        for name in _private_definitions(tree) - referenced
+    }
+    assert not orphans, f"private names nothing in fracpot refers to: {sorted(orphans)}"

@@ -23,10 +23,11 @@ from fracpot import (
     riesz_potential_measure,
 )
 from fracpot import riesz
-from fracpot.errors import AlphaOutOfRange, ConfigError, NegativeDensity
+from fracpot.errors import AlphaOutOfRange, ConfigError, GridMismatch, NegativeDensity
 from fracpot.riesz import (
     _gradient_kernels,
     _scalar_kernels,
+    _zero_offset_n_slots,
     atom_quadrature_correction,
     clear_plan_cache,
     fft_workers,
@@ -38,6 +39,7 @@ from fracpot.riesz import (
 
 from oracles import (
     padded_fft_convolution,
+    padded_offsets,
     riesz_cell_average_quad,
     riesz_direct_sum,
     riesz_gaussian_radial,
@@ -177,10 +179,20 @@ def _smooth_density(g: Grid) -> GridField:
     return GridField(g, np.exp(-r2) * (1.0 + 0.5 * np.cos(3.0 * coords[0])))
 
 
+def _padded_kernels(g: Grid, *families) -> list[np.ndarray]:
+    """The kernels of the (order, family) pairs on the padded offsets, as the engine holds them."""
+    offsets = padded_offsets(g.n, g.N, g.h)
+    return [
+        _zero_offset_n_slots(k, g.N)
+        for order, family in families
+        for k in family(g, order, offsets)
+    ]
+
+
 def _numpy_reference(f: GridField, s: float) -> list[np.ndarray]:
     """I_2s f and the gradient components through unpruned numpy.fft."""
     g = f.grid
-    kernels = [*_scalar_kernels(g, 2.0 * s), *_gradient_kernels(g, s)]
+    kernels = _padded_kernels(g, (2.0 * s, _scalar_kernels), (s, _gradient_kernels))
     return [padded_fft_convolution(f.values, k, g.cell_volume) for k in kernels]
 
 
@@ -251,6 +263,45 @@ def test_fused_measure_path_equals_separate_calls(omega):
     separate = riesz_gradient_measure(omega, 0.75, g).components
     for a, b in zip(grad.components, separate):
         assert np.array_equal(a.values, b.values)
+
+
+def test_atom_sums_sample_the_padded_fft_kernels_bitwise():
+    # on a dyadic grid the displacements from an atom at a cell centre are
+    # exactly the padded offsets, and one kernel definition serves both
+    g = Grid(2, 4.0, 16)
+    centre = (5, 11)
+    om = Measure.from_atoms(g.axis()[list(centre)][None, :], np.ones(1))
+    at_offsets = np.ix_(*[(np.arange(g.N) - i) % (2 * g.N) for i in centre])
+    (scalar,) = _padded_kernels(g, (1.5, _scalar_kernels))
+    assert np.array_equal(riesz_potential_measure(om, 1.5, g).values, scalar[at_offsets])
+    grad = riesz_gradient_measure(om, 0.75, g).components
+    for got, kern in zip(grad, _padded_kernels(g, (0.75, _gradient_kernels))):
+        assert np.array_equal(got.values, kern[at_offsets])
+
+
+def test_measure_without_atoms_has_zero_potentials():
+    g = Grid(2, 4.0, 16)
+    om = Measure.from_atoms(np.zeros((0, 2)), np.zeros(0))
+    u, grad = riesz_potential_and_gradient_measure(om, 0.75, g)
+    for field in (u, *grad.components):
+        assert np.array_equal(field.values, np.zeros(g.shape))
+    with pytest.raises(AlphaOutOfRange):
+        riesz_potential_measure(om, 2.5, g)
+
+
+@pytest.mark.parametrize(
+    "omega",
+    [
+        Measure.from_atoms(np.array([[0.3, -0.2, 0.1]]), np.ones(1)),
+        Measure.from_atoms(np.array([[0.3]]), np.ones(1)),
+        Measure.uniform_ball(np.zeros(3), 1.0),
+    ],
+    ids=["atom-3d", "atom-1d", "ball-3d"],
+)
+def test_measure_of_another_dimension_is_a_grid_mismatch(omega):
+    g = Grid(2, 4.0, 16)
+    with pytest.raises(GridMismatch):
+        riesz_potential_and_gradient_measure(omega, 0.75, g)
 
 
 def test_potential_rejects_negative_density():
