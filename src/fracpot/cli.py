@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import resource
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -48,6 +49,7 @@ from .riesz import (
     available_cpus,
     fft_worker_count,
     fft_workers,
+    plan_cache_bytes,
     riesz_potential_measure,
 )
 from .solver import CHECK_NAMES, constants_ledger, picard_solve, run_checks
@@ -128,6 +130,8 @@ def _write_run_meta(outdir: Path, args_threads: int | None) -> None:
         "threads_requested": args_threads,
         "fft_backend": FFT_BACKEND,
         "fft_workers": fft_worker_count(),
+        "plan_cache_bytes": plan_cache_bytes(),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     (outdir / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 

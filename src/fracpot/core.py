@@ -108,8 +108,13 @@ class Grid:
         return list(np.meshgrid(*[axis[b] for b in block], indexing="ij", sparse=True))
 
     def offsets(self, x0, block: tuple[slice, ...] | None = None) -> list[np.ndarray]:
-        """Open meshgrid of the displacements x - x0 of the cell centers, or of a block's."""
+        """Open meshgrid of the displacements x - x0 of the cell centers, or of a block's.
+
+        A point x0 of another dimension than the grid is a GridMismatch.
+        """
         x0 = np.asarray(x0, dtype=float).ravel()
+        if x0.size != self.n:
+            raise GridMismatch(f"{x0.size}-D point on a {self.n}-D grid")
         return [c - x0[i] for i, c in enumerate(self.coords(block))]
 
     def dist2(self, x0, block: tuple[slice, ...] | None = None) -> np.ndarray:
@@ -309,8 +314,6 @@ class Measure:
                 raise GridMismatch("density measure lives on a different grid")
             return self.density
         if self.kind == "uniform_ball":
-            if self.dimension != grid.n:
-                raise GridMismatch(f"{self.dimension}-D ball on a {grid.n}-D grid")
             dist2 = grid.dist2(self.ball_center)
             values = np.where(dist2 < self.ball_radius**2, self.ball_amplitude, 0.0)
             return GridField(grid, values)

@@ -23,7 +23,11 @@ kernel bit for bit.
 Every other measure is rasterised and convolved, in one free-space
 convolution on the grid padded to 2N points per axis, by scipy.fft
 transforms pruned of the all-zero input lines and the cropped output lines
-(Hockney-Eastwood).  Kernel transforms are cached.  I_2s and its gradient
+(Hockney-Eastwood).  Each padded kernel is even or odd in every axis, so
+its transform is real or imaginary and is fixed by its values on the
+octant of frequencies 0..N: it is built there by a DCT-I (a DST-I along
+the odd axis of a gradient component), cached as one real (N+1)^n array,
+and mirrored over the spectrum when it multiplies.  I_2s and its gradient
 share one forward transform, or one pass over the atoms.  Large transforms
 run on every available CPU (fft_workers changes the count), which never
 changes a result.
@@ -41,6 +45,7 @@ display the kernel without it) changes every downstream constant.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from contextlib import contextmanager
@@ -346,26 +351,75 @@ def _zero_offset_n_slots(kern: np.ndarray, N: int) -> np.ndarray:
 _PLAN_CACHE: dict[tuple, list[np.ndarray]] = {}
 
 
-def _kernel_hats(grid: Grid, order: float, family) -> list[np.ndarray]:
-    """Transforms of family(grid, order) on the padded offsets, cached per grid and order.
+def _kernel_hats(grid: Grid, order: float, family) -> list[tuple[np.ndarray, int | None]]:
+    """Transforms of family(grid, order) on the padded grid, as (real octant, odd axis) pairs.
 
-    Offsets run circularly, 0..N, -N+1..-1 times h; the slot at offset N is
-    never read by the linear convolution restricted to the first N samples.
+    On the grid padded to 2N points per axis the offsets run circularly,
+    0..N, -N+1..-1 times h, and the slot at offset N is never read by the
+    linear convolution restricted to the first N samples.  A kernel even in
+    every axis has a real transform, the DCT-I of its samples on the octant
+    of offsets 0..N; a kernel odd in axis i has -i times the DST-I along
+    axis i (0 at frequencies 0 and N) of the DCT-I along the others.  So each
+    hat is cached as that one real (N+1)^n array, per grid, order and
+    family, and _apply_hat mirrors it over the rest of the spectrum.
     """
-    key = (grid.n, grid.N, float(grid.L).hex(), float(order).hex(), family.__name__)
+    n, N = grid.n, grid.N
+    # component i of the gradient is odd in axis i, the scalar kernel is even
+    odd_axes = range(n) if family is _gradient_kernels else [None]
+    key = (n, N, float(grid.L).hex(), float(order).hex(), family.__name__)
     if key not in _PLAN_CACHE:
-        N = grid.N
-        axis = np.concatenate([np.arange(0, N + 1), np.arange(-N + 1, 0)]) * grid.h
-        offsets = np.meshgrid(*[axis] * grid.n, indexing="ij", sparse=True)
-        _PLAN_CACHE[key] = [
-            _rfftn_padded(_zero_offset_n_slots(k, N), 2 * N)
-            for k in family(grid, order, offsets)
-        ]
-    return _PLAN_CACHE[key]
+        w = _workers((2 * N) ** n)
+        axis = np.arange(0, N + 1) * grid.h
+        offsets = np.meshgrid(*[axis] * n, indexing="ij", sparse=True)
+        hats = []
+        for kern, odd in zip(family(grid, order, offsets), odd_axes):
+            even = [ax for ax in range(n) if ax != odd]
+            hat = scipy.fft.dctn(
+                _zero_offset_n_slots(kern, N), type=1, axes=even, overwrite_x=True, workers=w
+            )
+            if odd is not None:
+                inner = (slice(None),) * odd + (slice(1, N),)
+                hat[inner] = scipy.fft.dst(hat[inner], type=1, axis=odd, workers=w)
+            hats.append(hat)
+        _PLAN_CACHE[key] = hats
+    return list(zip(_PLAN_CACHE[key], odd_axes))
 
 
 def clear_plan_cache() -> None:
     _PLAN_CACHE.clear()
+
+
+def plan_cache_bytes() -> int:
+    """Bytes held by the cached kernel hats."""
+    return sum(hat.nbytes for hats in _PLAN_CACHE.values() for hat in hats)
+
+
+@lru_cache(maxsize=8)
+def _spectrum_blocks(n: int, N: int) -> tuple[tuple, ...]:
+    """The blocks of the padded half spectrum, the octant view each reads, and the axes it mirrors.
+
+    Frequencies 0..N of a leading axis read the octant as it is, N+1..2N-1
+    read it backwards from N-1 to 1, as views; the last axis holds 0..N only.
+    """
+    blocks = []
+    for mirrored in itertools.product((False, True), repeat=n - 1):
+        mirrored += (False,)
+        spec = tuple(slice(N + 1, 2 * N) if m else slice(0, N + 1) for m in mirrored)
+        octant = tuple(slice(N - 1, 0, -1) if m else slice(None) for m in mirrored)
+        blocks.append((spec, octant, mirrored))
+    return tuple(blocks)
+
+
+def _apply_hat(f_hat: np.ndarray, hat: np.ndarray, odd, N: int) -> np.ndarray:
+    """f_hat times the full transform the octant hat, odd in axis odd, stands for."""
+    out = np.empty_like(f_hat)
+    for spec, octant, mirrored in _spectrum_blocks(f_hat.ndim, N):
+        dst = out[spec]
+        np.multiply(f_hat[spec], hat[octant], out=dst)
+        if odd is not None:
+            # an odd kernel's hat is -i times the octant, +i where its odd axis is mirrored
+            dst *= 1j if mirrored[odd] else -1j
+    return out
 
 
 def _convolve(f: GridField, *families: tuple[float, object]) -> list[GridField]:
@@ -373,9 +427,13 @@ def _convolve(f: GridField, *families: tuple[float, object]) -> list[GridField]:
     if np.any(f.values < 0.0):
         raise NegativeDensity("potential of a signed density is not defined here")
     g = f.grid
-    kernel_hats = [k for order, family in families for k in _kernel_hats(g, order, family)]
+    hats = [pair for order, family in families for pair in _kernel_hats(g, order, family)]
     f_hat = _rfftn_padded(f.values, 2 * g.N)
-    return [GridField(g, _irfftn_cropped(f_hat * k, g.N) * g.cell_volume) for k in kernel_hats]
+    # each product lives only through its own inverse transform
+    return [
+        GridField(g, _irfftn_cropped(_apply_hat(f_hat, hat, odd, g.N), g.N) * g.cell_volume)
+        for hat, odd in hats
+    ]
 
 
 def riesz_potential_field(f: GridField, alpha: float) -> GridField:

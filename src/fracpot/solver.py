@@ -280,9 +280,14 @@ def _iterate(
         iterations = k + 1
         mag = np.sqrt(sum(g * g for g in grad))
         gq = GridField(grid, mag**params.q)
+        # each field of the step is dropped once used, so that none of them
+        # is still held through the next step's convolution
+        del mag
         pot, pot_grad = riesz_potential_and_gradient_field(gq, params.s)
+        del gq
         u_next = pot.values + u0.values
         g_next = [c.values + g0_vals[i] for i, c in enumerate(pot_grad.components)]
+        del pot, pot_grad
 
         inc = float(np.max(np.abs(u_next - u)))
         ginc = float(

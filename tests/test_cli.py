@@ -49,6 +49,8 @@ def solved(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli_ref")
     cfg = _write_config(base / "run.json")
     out = base / "out"
+    # a CLI process starts with an empty plan cache
+    riesz.clear_plan_cache()
     rc = main(["solve", "--config", str(cfg), "--out", str(out), "--auto-scale"])
     assert rc == 0
     return cfg, out
@@ -113,6 +115,11 @@ def test_run_meta_records_fft_backend_and_workers(solved):
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["fft_backend"].startswith("scipy.fft")
     assert meta["fft_workers"] == available_cpus()
+    # the hats of I_(2s-1), I_2s and the two components of grad I_2s, each
+    # one real float64 octant of (N+1)^n values
+    N = REFERENCE_CONFIG["grid"]["N"]
+    assert meta["plan_cache_bytes"] == 4 * (N + 1) ** 2 * 8
+    assert meta["peak_rss_mb"] > 0.0
 
 
 def test_cli_import_does_not_load_scipy_signal():

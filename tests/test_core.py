@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracpot import Grid, GridField, Measure, Parameters
+from fracpot import Grid, GridField, Measure, Parameters, ball_mask
 from fracpot.errors import (
     DimensionTooLow,
     GridMismatch,
@@ -57,6 +57,17 @@ def test_dist2_is_the_per_axis_sum_on_the_grid_and_on_blocks():
     block = (slice(1, 4), slice(0, 8), slice(5, 7))
     assert np.array_equal(g.dist2(x0, block), ref[block])
     assert np.array_equal(g.radii(), np.sqrt(X**2 + Y**2 + Z**2))
+
+
+@pytest.mark.parametrize("x0", [[0.0, 0.0, 3.0], [0.0]], ids=["extra-coordinate", "too-few"])
+def test_point_of_another_dimension_is_a_grid_mismatch(x0):
+    # an extra coordinate used to be dropped silently, a missing one raised IndexError
+    g = Grid(2, 4.0, 16)
+    with pytest.raises(GridMismatch):
+        ball_mask(g, x0, 1.0)
+    density = Measure.from_density(GridField(g, np.ones(g.shape)), support_radius=8.0)
+    with pytest.raises(GridMismatch):
+        density.ball_mass(np.array(x0), 1.0)
 
 
 @given(

@@ -203,16 +203,45 @@ def _engine(f: GridField, s: float) -> list[np.ndarray]:
 
 
 @pytest.mark.parametrize("N", [64, 128])
-def test_engine_bitwise_equal_to_numpy_reference_in_the_plane(N):
+def test_engine_matches_numpy_reference_in_the_plane(N):
+    # the hats come from DCT-I/DST-I of the octant, not from rfftn of the
+    # padded kernel, so the two agree to rounding only
     f = _smooth_density(Grid(2, 8.0, N))
     for got, ref in zip(_engine(f, 0.75), _numpy_reference(f, 0.75)):
-        assert np.array_equal(got, ref)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_engine_matches_numpy_reference_in_space():
     f = _smooth_density(Grid(3, 8.0, 32))
     for got, ref in zip(_engine(f, 0.8), _numpy_reference(f, 0.8)):
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n, N", [(2, 16), (3, 8)])
+def test_octant_hats_are_the_transforms_of_the_padded_kernels(n, N):
+    g = Grid(n, 4.0, N)
+    clear_plan_cache()
+    families = ((1.5, _scalar_kernels, [None]), (0.75, _gradient_kernels, range(n)))
+    for order, family, odd_axes in families:
+        hats = riesz._kernel_hats(g, order, family)
+        assert [odd for _, odd in hats] == list(odd_axes)
+        for (hat, odd), kern in zip(hats, _padded_kernels(g, (order, family))):
+            full = np.fft.rfftn(kern)
+            # frequency m of a leading axis reads the octant at min(m, 2N - m);
+            # the hat of an odd kernel is -i times the octant, negated where
+            # the odd axis is read backwards
+            m = np.arange(2 * N)
+            fold = [np.minimum(m, 2 * N - m)] * (n - 1) + [np.arange(N + 1)]
+            mirrored = hat[np.ix_(*fold)].astype(complex)
+            if odd is not None:
+                sign = np.where(np.arange(full.shape[odd]) > N, -1.0, 1.0)
+                mirrored *= -1j * sign.reshape((-1,) + (1,) * (n - 1 - odd))
+            assert np.max(np.abs(mirrored - full)) <= 1e-15 * np.max(np.abs(full))
+    held = [hat for hats in riesz._PLAN_CACHE.values() for hat in hats]
+    assert len(held) == 1 + n
+    assert all(h.dtype == np.float64 and h.shape == (N + 1,) * n for h in held)
+    assert riesz.plan_cache_bytes() == (1 + n) * (N + 1) ** n * 8
+    clear_plan_cache()
 
 
 @pytest.mark.parametrize("n, N", [(2, 64), (3, 16)])
