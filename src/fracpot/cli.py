@@ -1,11 +1,14 @@
 """Command-line scenario runner.
 
 Subcommands: constants, solve, capacity, wolff, verify, diagnostics.
-Configs are JSON with a mandatory "version"; unknown keys are rejected so a
-misspelled option fails loudly instead of silently using a default.  Exit
-codes are part of the interface: 0 success, 1 validation or check failure,
-2 inadmissible measure, 3 diverged iteration, 4 I/O trouble, 5 metadata
-mismatch between stored fields and the config.
+load_scenario reads a JSON config (mandatory "version") once into a frozen
+Scenario, rejecting unknown keys and values of the wrong JSON type, so a
+misspelled or mistyped option fails loudly instead of silently using a
+default or a truncated value.  verify and diagnostics read a stored solution
+through _load_solution; each option shared by subcommands is declared once.
+Exit codes are part of the interface: 0 success, 1 validation or check
+failure, 2 inadmissible measure, 3 diverged iteration, 4 I/O trouble, 5
+metadata mismatch between stored fields and the config.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import datetime
 import json
 import resource
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +50,7 @@ from .io import (
 from .riesz import (
     FFT_BACKEND,
     available_cpus,
+    clear_plan_cache,
     fft_worker_count,
     fft_workers,
     plan_cache_bytes,
@@ -54,19 +58,16 @@ from .riesz import (
 )
 from .solver import CHECK_NAMES, constants_ledger, picard_solve, run_checks
 
-_CONFIG_KEYS = {
-    "version",
-    "params",
-    "grid",
-    "measure",
-    "theta",
-    "tol",
-    "max_iter",
-    "outputs",
-    "checks",
+# optional config keys: their JSON type (float: any number) and default
+_OPTIONAL = {
+    "theta": (float, 0.5),
+    "tol": (float, 1e-8),
+    "max_iter": (int, 200),
+    "outputs": (str, "out"),
+    "checks": (list, sorted(CHECK_NAMES)),
 }
-_PARAM_KEYS = {"n", "s", "q"}
-_GRID_KEYS = {"L", "N"}
+_CONFIG_KEYS = {"version", "params", "grid", "measure", *_OPTIONAL}
+_JSON_TYPES = {int: "integer", float: "number", str: "string", list: "list", dict: "object"}
 # exit code per error; the first match wins, so the catch-all comes last
 _EXIT_CODES = ((NotAdmissible, 2), (Diverged, 3), (GridMismatch, 5), (OSError, 4), (Exception, 1))
 
@@ -77,10 +78,22 @@ def _reject_unknown(d: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _get(d: dict, key: str, kind: type, where: str = "", default=None):
+    """d[key], of JSON type kind (float: any number, as float); default if absent, if given."""
+    if key not in d:
+        if default is None:
+            raise ConfigError(f"config is missing {where}{key}")
+        return default
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"config {where}{key} must be a JSON {_JSON_TYPES[kind]}, not {value!r}")
+    return float(value) if kind is float else value
+
+
 def load_config(path: Path | str) -> dict:
-    path = Path(path)
+    """The JSON object of a config file, its version and top-level keys checked."""
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -88,28 +101,44 @@ def load_config(path: Path | str) -> dict:
     if raw.get("version") != 1:
         raise ConfigError("config version must be 1")
     _reject_unknown(raw, _CONFIG_KEYS, "config")
-    _reject_unknown(raw.get("params", {}), _PARAM_KEYS, "config.params")
-    _reject_unknown(raw.get("grid", {}), _GRID_KEYS, "config.grid")
-    for name in raw.get("checks", []):
-        if name not in CHECK_NAMES:
-            raise ConfigError(f"unknown check {name!r}")
     return raw
 
 
-def _build(config: dict, base_dir: Path) -> tuple[Parameters, Grid, Measure]:
-    try:
-        p = config["params"]
-        g = config["grid"]
-        params = Parameters(n=int(p["n"]), s=float(p["s"]), q=float(p["q"]))
-        N = int(g["N"])
-        if N <= 0 or N & (N - 1) != 0:
-            raise ConfigError(f"N={N} is not a power of two")
-        grid = Grid(n=params.n, L=float(g["L"]), N=N)
-        measure = measure_from_dict(config["measure"], base_dir=base_dir)
-    except KeyError as exc:
-        raise ConfigError(f"config is missing {exc}") from exc
+@dataclass(frozen=True)
+class Scenario:
+    """A validated config: all that solve, wolff, verify and diagnostics read of it."""
+
+    params: Parameters
+    grid: Grid
+    measure: Measure
+    theta: float
+    tol: float
+    max_iter: int
+    outputs: str
+    checks: tuple[str, ...]
+    config: dict  # as read, for report.json's config_echo
+
+
+def load_scenario(path: Path | str, theta: float | None = None) -> Scenario:
+    """Read and validate a config once; theta, if given, overrides the config's."""
+    config = load_config(path)
+    p, g = _get(config, "params", dict), _get(config, "grid", dict)
+    _reject_unknown(p, {"n", "s", "q"}, "config.params")
+    _reject_unknown(g, {"L", "N"}, "config.grid")
+    params = Parameters(*(_get(p, k, t, "params.") for k, t in zip("nsq", (int, float, float))))
+    N = _get(g, "N", int, "grid.")
+    if N <= 0 or N & (N - 1) != 0:
+        raise ConfigError(f"N={N} is not a power of two")
+    grid = Grid(n=params.n, L=_get(g, "L", float, "grid."), N=N)
+    measure = measure_from_dict(_get(config, "measure", dict), base_dir=Path(path).parent)
     _check_measure(measure, params, grid)
-    return params, grid, measure
+    opt = {key: _get(config, key, kind, default=value) for key, (kind, value) in _OPTIONAL.items()}
+    for name in opt["checks"]:
+        if not isinstance(name, str) or name not in CHECK_NAMES:
+            raise ConfigError(f"unknown check {name!r}")
+    opt["checks"] = tuple(opt["checks"])
+    opt["theta"] = opt["theta"] if theta is None else theta
+    return Scenario(params, grid, measure, config=config, **opt)
 
 
 def _check_measure(measure: Measure, params: Parameters, grid: Grid) -> None:
@@ -117,10 +146,36 @@ def _check_measure(measure: Measure, params: Parameters, grid: Grid) -> None:
     if measure.dimension != params.n:
         raise ConfigError(f"measure is {measure.dimension}-dimensional, params.n is {params.n}")
     if grid.L < 4.0 * measure.support_radius:
-        raise ConfigError(
-            f"box half-width {grid.L} below 4 x support radius "
-            f"{measure.support_radius}"
-        )
+        raise ConfigError(f"box half-width {grid.L} below 4 x support radius "
+                          f"{measure.support_radius}")
+
+
+def _load_solution(args) -> tuple[Scenario, GridField, VectorGridField, Measure]:
+    """The scenario, the stored u and grad u, and the measure they solve.
+
+    That is the measure.json beside the fields, else the config's, checked as the config's is.
+    """
+    sc = load_scenario(args.config)
+    fields_dir = Path(args.fields)
+
+    def read(name: str) -> GridField:
+        f = read_field(fields_dir / f"{name}.field")
+        if f.grid != sc.grid:
+            raise GridMismatch(f"stored {name} is on {f.grid}, the config on {sc.grid}")
+        return f
+
+    u = read("u")
+    grad = VectorGridField(sc.grid, tuple(read(f"grad_u{i}") for i in range(sc.grid.n)))
+    stored = fields_dir / "measure.json"
+    omega = read_measure(stored) if stored.exists() else sc.measure
+    _check_measure(omega, sc.params, sc.grid)
+    return sc, u, grad, omega
+
+
+def _outdir(path: Path | str) -> Path:
+    outdir = Path(path)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
 
 
 def _write_run_meta(outdir: Path, args_threads: int | None) -> None:
@@ -138,29 +193,20 @@ def _write_run_meta(outdir: Path, args_threads: int | None) -> None:
 
 def cmd_constants(args) -> int:
     params = Parameters(n=args.n, s=args.s, q=args.q)
-    ledger = constants_ledger(params, args.theta)
-    print(json.dumps(asdict(ledger), indent=2, sort_keys=True))
+    theta = _OPTIONAL["theta"][1] if args.theta is None else args.theta
+    print(json.dumps(asdict(constants_ledger(params, theta)), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_solve(args) -> int:
-    config = load_config(args.config)
-    params, grid, omega = _build(config, Path(args.config).parent)
-    theta = args.theta if args.theta is not None else float(config.get("theta", 0.5))
-    tol = float(config.get("tol", 1e-8))
-    max_iter = int(config.get("max_iter", 200))
-    outdir = Path(args.out or config.get("outputs", "out"))
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    scale_factor = 1.0
+    sc = load_scenario(args.config, args.theta)
+    outdir = _outdir(args.out or sc.outputs)
+    omega, scale_factor = sc.measure, 1.0
     if args.auto_scale:
-        scale_factor, _ = scale_measure_admissible(omega, theta, params, grid)
+        scale_factor, _ = scale_measure_admissible(omega, sc.theta, sc.params, sc.grid)
         omega = omega.scaled(scale_factor)
-
-    checks = list(config.get("checks", sorted(CHECK_NAMES)))
-    u, grad, report = picard_solve(
-        omega, params, grid, theta=theta, tol=tol, max_iter=max_iter, checks=checks
-    )
+    u, grad, report = picard_solve(omega, sc.params, sc.grid, theta=sc.theta, tol=sc.tol,
+                                   max_iter=sc.max_iter, checks=sc.checks)
 
     write_field(u, outdir / "u.field")
     for i, comp in enumerate(grad.components):
@@ -168,10 +214,7 @@ def cmd_solve(args) -> int:
     # the fields solve the effective (possibly rescaled) measure; persist it
     # so verify and diagnostics check against the actual datum
     write_measure(omega, outdir / "measure.json")
-
-    out = report.to_dict()
-    out["scale_factor"] = scale_factor
-    out["config_echo"] = config
+    out = report.to_dict() | {"scale_factor": scale_factor, "config_echo": sc.config}
     dump_report(out, outdir / "report.json")
     _write_run_meta(outdir, args.threads)
     print(f"converged={report.converged} iterations={report.iterations}")
@@ -180,13 +223,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_wolff(args) -> int:
-    config = load_config(args.config)
-    params, grid, omega = _build(config, Path(args.config).parent)
-    theta = args.theta if args.theta is not None else float(config.get("theta", 0.5))
+    sc = load_scenario(args.config, args.theta)
     if args.auto_scale:
-        _, report = scale_measure_admissible(omega, theta, params, grid)
+        _, report = scale_measure_admissible(sc.measure, sc.theta, sc.params, sc.grid)
     else:
-        report = wolff_ratio(omega, params, grid)
+        report = wolff_ratio(sc.measure, sc.params, sc.grid)
     print(json.dumps(asdict(report), indent=2, sort_keys=True))
     return 0
 
@@ -208,20 +249,15 @@ def cmd_capacity(args) -> int:
             # one grid per radius: equal relative resolution keeps the
             # discrete problems similar, so the fitted exponent is clean
             grid = Grid(n=args.n, L=4.0 * r, N=args.N)
-            est = estimate_ball_capacity(
-                (0.0,) * args.n, r, args.alpha, args.p, grid
-            )
+            est = estimate_ball_capacity((0.0,) * args.n, r, args.alpha, args.p, grid)
             rows.append((r, est.value))
             print(f"{r},{est.value}")
         logs = np.log(np.array(rows))
         slope = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
         print(f"slope,{slope}")
         if args.out:
-            outdir = Path(args.out)
-            outdir.mkdir(parents=True, exist_ok=True)
-            lines = ["r,estimate"] + [f"{r},{v}" for r, v in rows]
-            lines.append(f"slope,{slope}")
-            (outdir / "capacity_sweep.csv").write_text("\n".join(lines) + "\n")
+            lines = ["r,estimate"] + [f"{r},{v}" for r, v in rows] + [f"slope,{slope}"]
+            (_outdir(args.out) / "capacity_sweep.csv").write_text("\n".join(lines) + "\n")
         return 0
 
     grid = Grid(n=args.n, L=args.L, N=args.N)
@@ -249,66 +285,30 @@ def cmd_capacity(args) -> int:
         raise ConfigError("capacity needs --ball, --mask-file, or --sweep")
     payload = {f.name: getattr(est, f.name) for f in fields(est) if f.name != "candidate"}
     print(json.dumps(payload, indent=2, sort_keys=True))
+    if args.out:
+        dump_report(payload, _outdir(args.out) / "capacity.json")
     return 0
 
 
-def _read_solution(fields_dir: Path, grid: Grid) -> tuple[GridField, VectorGridField]:
-    u = read_field(fields_dir / "u.field")
-    if (u.grid.n, u.grid.N) != (grid.n, grid.N) or u.grid.L != grid.L:
-        raise GridMismatch(
-            f"stored field grid (n={u.grid.n}, N={u.grid.N}, L={u.grid.L}) "
-            f"does not match config grid (n={grid.n}, N={grid.N}, L={grid.L})"
-        )
-    comps = []
-    for i in range(grid.n):
-        comp = read_field(fields_dir / f"grad_u{i}.field")
-        if comp.grid != u.grid:
-            raise GridMismatch(f"gradient component {i} grid differs from u")
-        comps.append(comp)
-    return u, VectorGridField(u.grid, tuple(comps))
-
-
-def _effective_measure(
-    fields_dir: Path, omega: Measure, params: Parameters, grid: Grid
-) -> Measure:
-    """The measure stored beside the fields, else the config's; checked as _build does."""
-    stored = fields_dir / "measure.json"
-    measure = read_measure(stored) if stored.exists() else omega
-    _check_measure(measure, params, grid)
-    return measure
-
-
 def cmd_verify(args) -> int:
-    config = load_config(args.config)
-    params, grid, omega = _build(config, Path(args.config).parent)
-    fields_dir = Path(args.fields)
-    u, grad = _read_solution(fields_dir, grid)
-    omega = _effective_measure(fields_dir, omega, params, grid)
-    checks = list(config.get("checks", sorted(CHECK_NAMES)))
-    u0 = riesz_potential_measure(omega, 2.0 * params.s, grid)
-    results, ok = run_checks(u, grad, omega, u0, params, checks)
-    outdir = Path(args.out or fields_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    dump_report({"checks": results, "all_pass": ok}, outdir / "verify_report.json")
-    print(f"verify: {'pass' if ok else 'FAIL'} ({outdir / 'verify_report.json'})")
+    sc, u, grad, omega = _load_solution(args)
+    u0 = riesz_potential_measure(omega, 2.0 * sc.params.s, sc.grid)
+    results, ok = run_checks(u, grad, omega, u0, sc.params, sc.checks)
+    path = _outdir(args.out or args.fields) / "verify_report.json"
+    dump_report({"checks": results, "all_pass": ok}, path)
+    print(f"verify: {'pass' if ok else 'FAIL'} ({path})")
     return 0 if ok else 1
 
 
 def cmd_diagnostics(args) -> int:
-    config = load_config(args.config)
-    params, grid, omega = _build(config, Path(args.config).parent)
-    fields_dir = Path(args.fields)
-    u, grad = _read_solution(fields_dir, grid)
-    omega = _effective_measure(fields_dir, omega, params, grid)
-    report = diagnostics_report(u, grad.magnitude(), omega, params)
-    outdir = Path(args.out or fields_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    sc, u, grad, omega = _load_solution(args)
+    report = diagnostics_report(u, grad.magnitude(), omega, sc.params)
+    outdir = _outdir(args.out or args.fields)
     dump_report(report, outdir / "diagnostics.json")
-    radii = grid.radii()
-    ring = (radii >= 0.6 * grid.L) & (radii <= 0.8 * grid.L)
-    lines = ["radius,u"] + [
-        f"{r},{v}" for r, v in zip(radii[ring].tolist(), u.values[ring].tolist())
-    ]
+    radii = sc.grid.radii()
+    ring = (radii >= 0.6 * sc.grid.L) & (radii <= 0.8 * sc.grid.L)
+    rows = zip(radii[ring].tolist(), u.values[ring].tolist())
+    lines = ["radius,u"] + [f"{r},{v}" for r, v in rows]
     (outdir / "annulus.csv").write_text("\n".join(lines) + "\n")
     print(f"diagnostics: {outdir / 'diagnostics.json'}")
     return 0
@@ -324,28 +324,27 @@ def build_parser() -> argparse.ArgumentParser:
                         help="FFT workers for large transforms (default: the CPUs "
                         "available; results are independent of this)")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options several subcommands share, each declared once
+    config, fields_in, out, theta, scale = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5))
+    config.add_argument("--config", required=True)
+    fields_in.add_argument("--fields", required=True)
+    out.add_argument("--out", default=None)
+    theta.add_argument("--theta", type=float, default=None,
+                       help="default: the config's theta if it has one, else 0.5")
+    scale.add_argument("--auto-scale", action="store_true")
 
-    p = sub.add_parser("constants", help="print the constants ledger")
+    p = sub.add_parser("constants", parents=[theta], help="print the constants ledger")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--theta", type=float, default=0.5)
     p.set_defaults(func=cmd_constants)
+    sub.add_parser("solve", parents=[config, out, theta, scale],
+                   help="run the Picard iteration from a config").set_defaults(func=cmd_solve)
+    sub.add_parser("wolff", parents=[config, theta, scale],
+                   help="measure the admissibility ratio").set_defaults(func=cmd_wolff)
 
-    p = sub.add_parser("solve", help="run the Picard iteration from a config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--auto-scale", action="store_true")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("wolff", help="measure the admissibility ratio")
-    p.add_argument("--config", required=True)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--auto-scale", action="store_true")
-    p.set_defaults(func=cmd_wolff)
-
-    p = sub.add_parser("capacity", help="estimate a Riesz capacity")
+    p = sub.add_parser("capacity", parents=[out], help="estimate a Riesz capacity")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--p", type=float, required=True)
@@ -354,27 +353,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ball", default=None, help="cx,cy,...,r")
     p.add_argument("--mask-file", default=None)
     p.add_argument("--sweep", default=None, help="comma-separated radii")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_capacity)
-
-    p = sub.add_parser("verify", help="re-check stored solution fields")
-    p.add_argument("--config", required=True)
-    p.add_argument("--fields", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("diagnostics", help="norms, decay, and positivity report")
-    p.add_argument("--config", required=True)
-    p.add_argument("--fields", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_diagnostics)
+    sub.add_parser("verify", parents=[config, fields_in, out],
+                   help="re-check stored solution fields").set_defaults(func=cmd_verify)
+    sub.add_parser("diagnostics", parents=[config, fields_in, out],
+                   help="norms, decay, and positivity report").set_defaults(func=cmd_diagnostics)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     threads = available_cpus() if args.threads is None else args.threads
+    # run_meta.json's plan_cache_bytes counts this run's kernel hats only
+    clear_plan_cache()
     try:
         with fft_workers(threads):
             return args.func(args)

@@ -61,13 +61,6 @@ def distribution_slope(
     return float(slope)
 
 
-def atom_level_window(u: GridField, params: Parameters) -> tuple[float, float]:
-    """Lambda window where the superlevel ball radius spans [10h, L/2]."""
-    c = riesz_constant(u.grid.n, 2.0 * params.s)
-    expo = 2.0 * params.s - u.grid.n
-    return c * (0.5 * u.grid.L) ** expo, c * (10.0 * u.grid.h) ** expo
-
-
 @dataclass(frozen=True)
 class DecayFit:
     ring_inner: float

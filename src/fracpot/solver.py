@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .capacity import c1_threshold, wolff_ratio_and_potential
-from .core import Grid, GridField, Measure, Parameters, VectorGridField
+from .core import Grid, GridField, Measure, Parameters, VectorGridField, squared_norm
 from .diagnostics import decay_fit, positivity_check
 from .errors import Diverged, NotAdmissible, ThetaOutOfRange
 from .fraclap import default_test_functions, weak_residual
@@ -171,34 +171,28 @@ def run_checks(
 ) -> tuple[dict, bool]:
     """The named a-posteriori checks of a solution, and whether all pass."""
     results: dict = {}
-    ok = True
     if "weak" in names:
         residuals = [
             weak_residual(u, grad, omega, params, phi)
             for phi in default_test_functions(u.grid)
         ]
-        passed = bool(max(residuals) <= _WEAK_TOL)
-        results["weak"] = {"residuals": residuals, "tol": _WEAK_TOL, "pass": passed}
-        ok = ok and passed
+        results["weak"] = {
+            "residuals": residuals, "tol": _WEAK_TOL, "pass": bool(max(residuals) <= _WEAK_TOL)
+        }
     if "representation" in names:
         res = representation_residual(u, grad, u0, params)
-        passed = res <= _REPRESENTATION_TOL
         results["representation"] = {
             "residual": res,
             "tol": _REPRESENTATION_TOL,
-            "pass": passed,
+            "pass": res <= _REPRESENTATION_TOL,
         }
-        ok = ok and passed
     if "sandwich" in names:
         lower_ok, upper = sandwich_check(u, u0)
         results["sandwich"] = {"lower_ok": lower_ok, "upper": upper, "pass": lower_ok}
-        ok = ok and lower_ok
     if "decay" in names:
         fit = decay_fit(u, omega, params)
         dev = abs(fit.slope - (2.0 * params.s - params.n))
-        passed = dev <= _DECAY_SLOPE_TOL
-        results["decay"] = asdict(fit) | {"deviation": dev, "pass": passed}
-        ok = ok and passed
+        results["decay"] = asdict(fit) | {"deviation": dev, "pass": dev <= _DECAY_SLOPE_TOL}
     if "positivity" in names:
         min_value, bound_ok = positivity_check(u, omega, params)
         results["positivity"] = {
@@ -206,8 +200,7 @@ def run_checks(
             "lower_bound_ok": bound_ok,
             "pass": bound_ok,
         }
-        ok = ok and bound_ok
-    return results, ok
+    return results, all(r["pass"] for r in results.values())
 
 
 def picard_solve(
@@ -278,7 +271,7 @@ def _iterate(
 
     for k in range(max_iter):
         iterations = k + 1
-        mag = np.sqrt(sum(g * g for g in grad))
+        mag = np.sqrt(squared_norm(grad))
         gq = GridField(grid, mag**params.q)
         # each field of the step is dropped once used, so that none of them
         # is still held through the next step's convolution
@@ -290,9 +283,10 @@ def _iterate(
         del pot, pot_grad
 
         inc = float(np.max(np.abs(u_next - u)))
-        ginc = float(
-            np.max(np.sqrt(sum((a - b) ** 2 for a, b in zip(g_next, grad))))
-        )
+        # grad is rebound to g_next below, so its arrays can take the differences
+        diffs = [np.subtract(g, gn, out=g) for g, gn in zip(grad, g_next)]
+        ginc = float(np.max(np.sqrt(squared_norm(diffs))))
+        del diffs
         report.sup_u.append(float(np.max(np.abs(u_next))))
         report.sup_increment.append(inc)
         report.sup_gradient_increment.append(ginc)

@@ -8,6 +8,7 @@ comparison share nothing but the mathematics.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.integrate import dblquad, tplquad
@@ -263,3 +264,16 @@ def quasinorm_grid_value(v, kappa: float, weight_s: float, levels: int = 64) -> 
     w = g.cell_volume / (1.0 + g.radii() ** (g.n + 2.0 * weight_s))
     lams = pivot * np.logspace(-6.0, 6.0, levels)
     return max(lam * float(np.sum(w[mags > lam])) ** (1.0 / kappa) for lam in lams)
+
+
+def atom_level_window(u, params) -> tuple[float, float]:
+    """Levels lambda at which {I_2s(delta_0) > lambda} is a ball of radius L/2 and 10h.
+
+    The superlevel sets of c(n, 2s) |x|^(2s-n) are balls; between these two
+    levels they are resolved by the grid and lie well inside the box.  The
+    Riesz constant c(n, 2s) is the textbook Gamma-function formula.
+    """
+    n, alpha = u.grid.n, 2.0 * params.s
+    c = math.pi ** (-n / 2.0) * 2.0**-alpha * math.gamma((n - alpha) / 2.0) / math.gamma(alpha / 2.0)
+    expo = alpha - n
+    return c * (0.5 * u.grid.L) ** expo, c * (10.0 * u.grid.h) ** expo

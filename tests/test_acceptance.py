@@ -50,9 +50,8 @@ from fracpot import (
     wolff_ratio,
 )
 from fracpot.cli import main
-from fracpot.diagnostics import atom_level_window
 
-from oracles import gamma_series
+from oracles import atom_level_window, gamma_series
 
 CRITERIA_LINES: list[str] = []
 

@@ -11,7 +11,7 @@ import pytest
 
 import fracpot
 from fracpot import riesz
-from fracpot.cli import load_config, main
+from fracpot.cli import load_config, load_scenario, main
 from fracpot.io import read_field, write_field
 from fracpot.riesz import available_cpus
 
@@ -49,8 +49,6 @@ def solved(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli_ref")
     cfg = _write_config(base / "run.json")
     out = base / "out"
-    # a CLI process starts with an empty plan cache
-    riesz.clear_plan_cache()
     rc = main(["solve", "--config", str(cfg), "--out", str(out), "--auto-scale"])
     assert rc == 0
     return cfg, out
@@ -306,6 +304,42 @@ def test_config_loader_round_trip(tmp_path):
     assert loaded["grid"]["N"] == 128
 
 
+def test_scenario_defaults_and_theta_override(tmp_path):
+    cfg = _write_config(
+        tmp_path / "ok.json", theta=None, tol=None, max_iter=None, outputs=None, checks=None
+    )
+    sc = load_scenario(cfg)
+    assert (sc.theta, sc.tol, sc.max_iter, sc.outputs) == (0.5, 1e-8, 200, "out")
+    assert sorted(sc.checks) == sorted(REFERENCE_CONFIG["checks"])
+    assert (sc.grid.n, sc.grid.L, sc.grid.N) == (2, 8.0, 128)
+    assert sc.config == load_config(cfg)
+    assert load_scenario(cfg, theta=0.25).theta == 0.25
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"params": 5}, "params"),
+        ({"grid": 7}, "grid"),
+        ({"checks": 3}, "checks"),
+        ({"checks": [["weak"]]}, "check"),
+        ({"tol": [1]}, "tol"),
+        ({"theta": "0.5"}, "theta"),
+        ({"max_iter": 200.5}, "max_iter"),
+        ({"outputs": 5}, "outputs"),
+        ({"params": {"n": 2.5, "s": 0.75, "q": 2.0}}, "params.n"),
+        ({"grid": {"L": 8.0, "N": 128.0}}, "grid.N"),
+    ],
+    ids=lambda v: json.dumps(v) if isinstance(v, dict) else v,
+)
+def test_config_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, overrides, key):
+    # refused with an error line, neither a traceback nor a truncated value
+    cfg = _write_config(tmp_path / "bad.json", **overrides)
+    assert main(["wolff", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+
+
 def test_verify_passes_after_solve(solved, capsys):
     cfg, out = solved
     rc = main(["verify", "--config", str(cfg), "--fields", str(out)])
@@ -410,6 +444,31 @@ def test_wolff_auto_scale_reports_scale(solved, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["scale_factor"] == pytest.approx(0.029659962705194446, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["solve", "--config", "{cfg}", "--auto-scale"], "report.json"),
+        (["verify", "--config", "{cfg}", "--fields", "{fields}"], "verify_report.json"),
+        (["diagnostics", "--config", "{cfg}", "--fields", "{fields}"], "diagnostics.json"),
+        (["capacity", "--alpha", "0.5", "--p", "2.0", "--N", "16", "--ball", "0,0,1"],
+         "capacity.json"),
+        (["capacity", "--alpha", "0.5", "--p", "2.0", "--N", "16", "--sweep", "0.5,1"],
+         "capacity_sweep.csv"),
+    ],
+    ids=["solve", "verify", "diagnostics", "capacity-ball", "capacity-sweep"],
+)
+def test_every_out_option_writes_into_its_directory(solved, tmp_path, capsys, argv, written):
+    cfg, fields = solved
+    out = tmp_path / "elsewhere"
+    argv = [a.format(cfg=cfg, fields=fields) for a in argv] + ["--out", str(out)]
+    assert main(argv) == 0
+    assert (out / written).exists()
+    if written == "capacity.json":
+        # the file holds the payload the command prints
+        printed = capsys.readouterr().out
+        assert (out / written).read_text() == printed
 
 
 def test_capacity_ball_payload(capsys):

@@ -17,10 +17,9 @@ from fracpot import (
     riesz_constant,
     riesz_potential_measure,
 )
-from fracpot.diagnostics import atom_level_window
 from fracpot.errors import AnnulusEmpty, KappaOutOfRange
 
-from oracles import quasinorm_grid_value
+from oracles import atom_level_window, quasinorm_grid_value
 
 PARAMS = Parameters(2, 0.75, 2.0)
 
