@@ -131,7 +131,8 @@ def estimate_capacity(
     bounds as h^(n - alpha p) times theirs, and self-similar problems run
     identical iterations.  On the caller's grid the candidate is divided by
     min_E I_alpha u where that is below 1 and measured again; value is its
-    h^n sum u^p.
+    h^n sum u^p, and upper_bound the best feasible objective the loop
+    reached, or value if rounding puts that above it.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != grid.shape:
@@ -159,7 +160,7 @@ def estimate_capacity(
     ind = mask.astype(float)
     k_ind = potential(ind)
     best_u = ind / float(np.min(k_ind[mask]))  # the kernel is positive
-    upper = best_val = float(np.sum(best_u**p))
+    best_val = float(np.sum(best_u**p))
     c = (np.sum(ind) / (p * np.sum(primal(k_ind) ** p))) ** (p - 1.0)
     lam = lam_prev = c * ind
     k_lam = k_prev = c * k_ind
@@ -207,9 +208,10 @@ def estimate_capacity(
     if m < 1.0:
         cand = cand / m
         m = float(np.min(potential(cand, grid)[mask]))
+    value = grid.cell_volume * float(np.sum(cand**p))
     return CapacityEstimate(
-        value=grid.cell_volume * float(np.sum(cand**p)),
-        upper_bound=upper * scale,
+        value=value,
+        upper_bound=max(best_val * scale, value),
         lower_bound=lower * scale,
         candidate=GridField(grid, cand),
         iterations=it,

@@ -240,7 +240,13 @@ def _parse_ball(numbers, n: int) -> tuple[tuple[float, ...], float]:
 
 
 def cmd_capacity(args) -> int:
-    if args.sweep:
+    given = {"--ball": args.ball, "--mask-file": args.mask_file, "--sweep": args.sweep}
+    targets = [flag for flag, value in given.items() if value is not None]
+    if len(targets) != 1:
+        raise ConfigError(f"capacity needs one of --ball, --mask-file or --sweep, got {targets}")
+    if args.sweep is not None:
+        if args.L is not None:
+            raise ConfigError("--sweep puts each radius r on its own box, L = 4r; drop --L")
         radii = [float(r) for r in args.sweep.split(",")]
         if len(set(radii)) < 2:
             raise ConfigError("--sweep needs at least two distinct radii to fit a slope")
@@ -260,11 +266,11 @@ def cmd_capacity(args) -> int:
             (_outdir(args.out) / "capacity_sweep.csv").write_text("\n".join(lines) + "\n")
         return 0
 
-    grid = Grid(n=args.n, L=args.L, N=args.N)
-    if args.ball:
+    grid = Grid(n=args.n, L=4.0 if args.L is None else args.L, N=args.N)
+    if args.ball is not None:
         center, radius = _parse_ball(args.ball.split(","), grid.n)
         est = estimate_ball_capacity(center, radius, args.alpha, args.p, grid)
-    elif args.mask_file:
+    else:
         spec = json.loads(Path(args.mask_file).read_text())
         if isinstance(spec, dict) and "ball" in spec:
             ball = spec["ball"]
@@ -281,8 +287,6 @@ def cmd_capacity(args) -> int:
             mask = np.zeros(grid.shape, dtype=bool)
             mask[tuple(cells.T)] = True
             est = estimate_capacity(mask, args.alpha, args.p, grid)
-    else:
-        raise ConfigError("capacity needs --ball, --mask-file, or --sweep")
     payload = {f.name: getattr(est, f.name) for f in fields(est) if f.name != "candidate"}
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
@@ -348,11 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--L", type=float, default=4.0)
+    p.add_argument("--L", type=float, default=None,
+                   help="box half-width for --ball and --mask-file (default: 4)")
     p.add_argument("--N", type=int, default=128)
+    # cmd_capacity takes exactly one of these three and rejects any other
+    # combination with a ConfigError (exit 1); an argparse mutually exclusive
+    # group would exit 2, the code of a datum that is not admissible
     p.add_argument("--ball", default=None, help="cx,cy,...,r")
     p.add_argument("--mask-file", default=None)
-    p.add_argument("--sweep", default=None, help="comma-separated radii")
+    p.add_argument("--sweep", default=None, help="comma-separated radii, each on L = 4r")
     p.set_defaults(func=cmd_capacity)
     sub.add_parser("verify", parents=[config, fields_in, out],
                    help="re-check stored solution fields").set_defaults(func=cmd_verify)

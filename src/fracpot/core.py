@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import (
     DimensionTooLow,
@@ -59,8 +58,9 @@ def squared_norm(offsets: list[np.ndarray]) -> np.ndarray:
 
     The one place distances on the grid are computed: the same y gives the same bits.
     """
-    out = np.zeros(np.broadcast_shapes(*[y.shape for y in offsets]))
-    for y in offsets:
+    out = np.empty(np.broadcast_shapes(*[y.shape for y in offsets]))
+    np.square(offsets[0], out=out)
+    for y in offsets[1:]:
         out += y**2
     return out
 
@@ -175,6 +175,9 @@ def _cap_volume(n: int, r: float, x: float) -> float:
         return ball_volume(n) * r**n
     if x < 0.0:
         return ball_volume(n) * r**n - _cap_volume(n, r, -x)
+    # the only use of scipy in fracpot, imported here to keep it off the CLI's start-up
+    from scipy.special import betainc
+
     sin2 = 1.0 - (x / r) ** 2
     return 0.5 * ball_volume(n) * r**n * float(betainc((n + 1) / 2.0, 0.5, sin2))
 

@@ -21,16 +21,17 @@ trades for cell averages.  Where the displacements are exact multiples of h
 kernel bit for bit.
 
 Every other measure is rasterised and convolved, in one free-space
-convolution on the grid padded to 2N points per axis, by scipy.fft
-transforms pruned of the all-zero input lines and the cropped output lines
-(Hockney-Eastwood).  Each padded kernel is even or odd in every axis, so
-its transform is real or imaginary and is fixed by its values on the
-octant of frequencies 0..N: it is built there by a DCT-I (a DST-I along
-the odd axis of a gradient component), cached as one real (N+1)^n array,
-and mirrored over the spectrum when it multiplies.  I_2s and its gradient
-share one forward transform, or one pass over the atoms.  Large transforms
-run on every available CPU (fft_workers changes the count), which never
-changes a result.
+convolution on the grid padded to 2N points per axis, by numpy.fft
+transforms, one axis per pass, pruned of the all-zero input lines and the
+cropped output lines (Hockney-Eastwood).  Each padded kernel is even or odd
+in every axis, so its transform is real or imaginary and is fixed by its
+values on the octant of frequencies 0..N: it is built there by a DCT-I (a
+DST-I along the odd axis of a gradient component), cached as one real
+(N+1)^n array, and mirrored over the spectrum when it multiplies.  I_2s and
+its gradient share one forward transform, or one pass over the atoms.
+Every transform equals scipy.fft's bit for bit.  Large transforms split
+their lines over every available CPU (fft_workers changes the count), which
+never changes a result.
 
 Differentiating |x - y|^(2s - n) gives the vector kernel
 
@@ -53,7 +54,6 @@ from contextvars import ContextVar
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 from .core import Grid, GridField, Measure, VectorGridField, squared_norm
 from .errors import AlphaOutOfRange, ConfigError, GridMismatch, NegativeDensity
@@ -233,14 +233,18 @@ def atom_quadrature_correction(
 
 # ---------------------------------------------------------------------------
 # The convolution engine.  Free-space (non-periodic) convolutions on the
-# 2N-padded grid through scipy.fft; kernel transforms are cached per
-# (grid, alpha/s, kind).
+# 2N-padded grid through numpy.fft, one axis per pass; kernel transforms are
+# cached per (grid, alpha/s, kind).  numpy >= 2.0 runs the pocketfft library
+# that scipy.fft runs, and every pass below hands it the lines, the axis
+# order and the scaling scipy.fft would, so each result equals scipy.fft's
+# bit for bit.
 
-# Transforms of at least this many padded points run on every worker;
-# smaller ones run on one, where starting threads costs more than it saves.
+# Transforms of at least this many padded points split their lines over
+# every worker; smaller ones run on one, where handing out work costs more
+# than it saves.
 _PARALLEL_MIN_POINTS = 2**20
 
-FFT_BACKEND = f"scipy.fft (pocketfft), scipy {scipy.__version__}"
+FFT_BACKEND = f"numpy.fft (pocketfft), numpy {np.__version__}"
 
 
 def available_cpus() -> int:
@@ -274,16 +278,55 @@ def _workers(points: int) -> int:
     return _FFT_WORKERS.get() if points >= _PARALLEL_MIN_POINTS else 1
 
 
+@lru_cache(maxsize=None)
+def _thread_pool(workers: int):
+    """The threads that share the large transforms, started by the first of them."""
+    # imported on first use, so that start-up and runs of small transforms never load it
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="fracpot-fft")
+
+
+def _over_lines(task, shape: tuple[int, ...], axis: int, points: int) -> None:
+    """task(block) over the lines along axis of an array of shape, in blocks.
+
+    The lines of a transform of fewer than _PARALLEL_MIN_POINTS (padded)
+    points are one block; a larger transform is cut across another axis into
+    one block per worker, and numpy.fft releases the GIL, so the blocks run
+    in parallel.  Each line is transformed whole either way, so the cut
+    never changes a bit.
+    """
+    across = 1 if axis == 0 else 0
+    w = min(_workers(points), shape[across]) if len(shape) > 1 else 1
+    if w == 1:
+        task(...)
+        return
+    cuts = [shape[across] * k // w for k in range(w + 1)]
+    blocks = [(slice(None),) * across + (slice(a, b),) for a, b in zip(cuts, cuts[1:])]
+    for done in [_thread_pool(w).submit(task, block) for block in blocks]:
+        done.result()
+
+
+def _transform(fn, a: np.ndarray, out: np.ndarray, axis: int, points: int, **kw) -> None:
+    """The numpy.fft pass fn(a, axis=axis, **kw), written into out (which may be a)."""
+    _over_lines(lambda b: fn(a[b], axis=axis, out=out[b], **kw), a.shape, axis, points)
+
+
 def _rfftn_padded(values: np.ndarray, size: int) -> np.ndarray:
     """rfftn of values zero-padded to size points on every axis.
 
-    rfft runs on the lines that hold data only, and each further axis is
-    padded just before its own transform, so no all-zero line is transformed.
+    The rfft rows land in a zeroed padded buffer and each further axis is
+    transformed in place on the lines that hold data only, so no all-zero
+    line is transformed.
     """
-    w = _workers(size**values.ndim)
-    out = scipy.fft.rfft(values, n=size, axis=-1, workers=w)
-    for ax in range(values.ndim - 1):
-        out = scipy.fft.fft(out, n=size, axis=ax, overwrite_x=True, workers=w)
+    n, N = values.ndim, values.shape[0]
+    points = size**n
+    out = np.zeros((size,) * (n - 1) + (size // 2 + 1,), dtype=complex)
+    rows = out[(slice(0, N),) * (n - 1)]
+    _transform(np.fft.rfft, values, rows, n - 1, points, n=size)
+    for ax in range(n - 1):
+        live = out[(slice(None),) * (ax + 1) + (slice(0, N),) * (n - 2 - ax)]
+        _transform(np.fft.fft, live, live, ax, points)
     return out
 
 
@@ -294,20 +337,77 @@ def _irfftn_cropped(spec: np.ndarray, N: int) -> np.ndarray:
     transforms skip the lines the result discards.  spec is overwritten.
     """
     n = spec.ndim
-    w = _workers((2 * N) ** n)
+    points = (2 * N) ** n
     for ax in range(n - 1):
-        spec = scipy.fft.ifft(spec, axis=ax, overwrite_x=True, workers=w)
+        _transform(np.fft.ifft, spec, spec, ax, points)
         spec = spec[(slice(None),) * ax + (slice(0, N),)]
-    return scipy.fft.irfft(spec, n=2 * N, axis=-1, workers=w)[..., :N]
+    out = np.empty(spec.shape[:-1] + (2 * N,))
+    _transform(np.fft.irfft, spec, out, n - 1, points, n=2 * N)
+    return out[..., :N]
 
 
 def fourier_multiplier(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """Periodic Fourier multiplier on the grid itself: irfftn(symbol * rfftn(values))."""
-    w = _workers(values.size)
-    axes = tuple(range(values.ndim))
-    spec = scipy.fft.rfftn(values, axes=axes, workers=w)
+    """Periodic Fourier multiplier on the grid itself: irfftn(symbol * rfftn(values)).
+
+    The passes are pocketfft's own for an n-D real transform: the last axis
+    first forward and last back, the others in increasing order, and the
+    1/size of the inverse applied once, at the end, as a factor rounded from
+    long double.  numpy's rfftn/irfftn order and scale the axes otherwise.
+    """
+    n, points = values.ndim, values.size
+    spec = np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,), dtype=complex)
+    _transform(np.fft.rfft, values, spec, n - 1, points)
+    for ax in range(n - 1):
+        _transform(np.fft.fft, spec, spec, ax, points)
     spec *= symbol
-    return scipy.fft.irfftn(spec, s=values.shape, axes=axes, overwrite_x=True, workers=w)
+    for ax in range(n - 1):
+        _transform(np.fft.ifft, spec, spec, ax, points, norm="forward")
+    out = np.empty(values.shape)
+    _transform(np.fft.irfft, spec, out, n - 1, points, n=values.shape[-1], norm="forward")
+    out *= float(1 / np.longdouble(values.size))
+    return out
+
+
+# Lines a hat transform extends and transforms at a time, so that its
+# scratch stays in cache.
+_HAT_CHUNK_LINES = 64
+
+
+def _real_line_transform(hat: np.ndarray, axis: int, odd: bool, points: int) -> None:
+    """DCT-I of every line of hat along axis, or with odd its DST-I on points 1..N-1, in place.
+
+    pocketfft's own route (scipy.fft.dct/dst type 1): the real FFT of the
+    line's even extension to 2N points has the DCT-I as its real part; that
+    of its odd extension has minus the DST-I as its imaginary part.  Each
+    worker takes about _HAT_CHUNK_LINES lines at a time through scratch it
+    allocates once.
+    """
+    N = hat.shape[axis] - 1
+    # the trailing unit axis gives a 1-D hat an axis to cut across
+    h = np.moveaxis(hat, axis, 0)[..., None]
+    step = max(1, _HAT_CHUNK_LINES // math.prod(h.shape[2:]))
+
+    def task(block):
+        lines = h[block]
+        ext = np.empty((2 * N, step) + h.shape[2:])
+        spec = np.empty((N + 1, step) + h.shape[2:], dtype=complex)
+        for j in range(0, lines.shape[1], step):
+            chunk = lines[:, j : j + step]
+            e, s = ext[:, : chunk.shape[1]], spec[:, : chunk.shape[1]]
+            if odd:
+                e[0] = e[N] = 0.0
+                e[1:N] = chunk[1:N]
+                np.negative(chunk[N - 1 : 0 : -1], out=e[N + 1 :])
+            else:
+                e[: N + 1] = chunk
+                e[N + 1 :] = chunk[N - 1 : 0 : -1]
+            np.fft.rfft(e, axis=0, out=s)
+            if odd:
+                np.negative(s[1:N].imag, out=chunk[1:N])
+            else:
+                chunk[...] = s.real
+
+    _over_lines(task, h.shape, 0, points)
 
 
 def _regularised_r2(grid: Grid, offsets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -368,18 +468,16 @@ def _kernel_hats(grid: Grid, order: float, family) -> list[tuple[np.ndarray, int
     odd_axes = range(n) if family is _gradient_kernels else [None]
     key = (n, N, float(grid.L).hex(), float(order).hex(), family.__name__)
     if key not in _PLAN_CACHE:
-        w = _workers((2 * N) ** n)
+        points = (2 * N) ** n
         axis = np.arange(0, N + 1) * grid.h
         offsets = np.meshgrid(*[axis] * n, indexing="ij", sparse=True)
         hats = []
         for kern, odd in zip(family(grid, order, offsets), odd_axes):
+            hat = _zero_offset_n_slots(kern, N)
+            # scipy.fft.dctn's axis order, then the DST-I
             even = [ax for ax in range(n) if ax != odd]
-            hat = scipy.fft.dctn(
-                _zero_offset_n_slots(kern, N), type=1, axes=even, overwrite_x=True, workers=w
-            )
-            if odd is not None:
-                inner = (slice(None),) * odd + (slice(1, N),)
-                hat[inner] = scipy.fft.dst(hat[inner], type=1, axis=odd, workers=w)
+            for ax in even if odd is None else even + [odd]:
+                _real_line_transform(hat, ax, ax == odd, points)
             hats.append(hat)
         _PLAN_CACHE[key] = hats
     return list(zip(_PLAN_CACHE[key], odd_axes))
@@ -410,9 +508,11 @@ def _spectrum_blocks(n: int, N: int) -> tuple[tuple, ...]:
     return tuple(blocks)
 
 
-def _apply_hat(f_hat: np.ndarray, hat: np.ndarray, odd, N: int) -> np.ndarray:
-    """f_hat times the full transform the octant hat, odd in axis odd, stands for."""
-    out = np.empty_like(f_hat)
+def _apply_hat(f_hat: np.ndarray, hat: np.ndarray, odd, N: int, out: np.ndarray) -> np.ndarray:
+    """out = f_hat times the full transform the octant hat, odd in axis odd, stands for.
+
+    out may be f_hat itself.
+    """
     for spec, octant, mirrored in _spectrum_blocks(f_hat.ndim, N):
         dst = out[spec]
         np.multiply(f_hat[spec], hat[octant], out=dst)
@@ -429,11 +529,17 @@ def _convolve(f: GridField, *families: tuple[float, object]) -> list[GridField]:
     g = f.grid
     hats = [pair for order, family in families for pair in _kernel_hats(g, order, family)]
     f_hat = _rfftn_padded(f.values, 2 * g.N)
-    # each product lives only through its own inverse transform
-    return [
-        GridField(g, _irfftn_cropped(_apply_hat(f_hat, hat, odd, g.N), g.N) * g.cell_volume)
-        for hat, odd in hats
-    ]
+    fields = []
+    for k, (hat, odd) in enumerate(hats):
+        # each product lives only through its own inverse transform (no name
+        # holds it into the next one), and the last one takes the place of
+        # f_hat, which nothing reads after it
+        out = f_hat if k == len(hats) - 1 else np.empty_like(f_hat)
+        spec = _apply_hat(f_hat, hat, odd, g.N, out)
+        del out
+        fields.append(GridField(g, _irfftn_cropped(spec, g.N) * g.cell_volume))
+        del spec
+    return fields
 
 
 def riesz_potential_field(f: GridField, alpha: float) -> GridField:

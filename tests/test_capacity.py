@@ -122,6 +122,14 @@ def test_estimate_stays_below_analytic_bound(unit_ball_estimate):
     assert est.value <= est.upper_bound * (1.0 + 1e-12)
 
 
+def test_estimate_bracket_is_as_narrow_as_the_stopping_test(unit_ball_estimate):
+    # upper_bound is the feasible objective the loop stopped on; the flat
+    # starting candidate's objective left a bracket 79% wide here
+    est = unit_ball_estimate
+    assert est.lower_bound <= est.value <= est.upper_bound
+    assert est.upper_bound - est.lower_bound <= 1e-6 * (1.0 + 1e-9) * est.upper_bound
+
+
 def test_estimate_reference_band(unit_ball_estimate):
     # converged value at this resolution, pinned loosely for regressions
     assert 4.2 <= unit_ball_estimate.value <= 4.7

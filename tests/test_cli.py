@@ -111,7 +111,7 @@ def test_solve_is_byte_deterministic(solved, tmp_path):
 def test_run_meta_records_fft_backend_and_workers(solved):
     _, out = solved
     meta = json.loads((out / "run_meta.json").read_text())
-    assert meta["fft_backend"].startswith("scipy.fft")
+    assert meta["fft_backend"].startswith("numpy.fft")
     assert meta["fft_workers"] == available_cpus()
     # the hats of I_(2s-1), I_2s and the two components of grad I_2s, each
     # one real float64 octant of (N+1)^n values
@@ -120,10 +120,10 @@ def test_run_meta_records_fft_backend_and_workers(solved):
     assert meta["peak_rss_mb"] > 0.0
 
 
-def test_cli_import_does_not_load_scipy_signal():
-    # scipy.signal took most of the CLI's start-up time; only the test
-    # oracles use it now
-    code = "import sys, fracpot.cli; sys.exit('scipy.signal' in sys.modules)"
+def test_cli_import_does_not_load_scipy():
+    # importing scipy took most of the CLI's start-up time; the engine runs
+    # on numpy.fft and only the uniform ball's cap volumes use scipy, on demand
+    code = "import sys, fracpot.cli; sys.exit(any(m.startswith('scipy') for m in sys.modules))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
@@ -486,6 +486,24 @@ def test_capacity_ball_payload(capsys):
 def test_capacity_requires_a_target(capsys):
     rc = main(["capacity", "--alpha", "0.5", "--p", "2.0"])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--sweep", "0.5,1", "--L", "4"],
+        ["--sweep", "0.5,1", "--ball", "0,0,1"],
+        ["--sweep", "0.5,1", "--mask-file", "mask.json"],
+        ["--ball", "0,0,1", "--mask-file", "mask.json"],
+    ],
+    ids=["sweep-L", "sweep-ball", "sweep-mask", "ball-mask"],
+)
+def test_capacity_rejects_options_its_target_would_ignore(capsys, extra):
+    rc = main(["capacity", "--alpha", "0.5", "--p", "2.0", "--N", "16", *extra])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before any estimate ran
+    assert "error:" in captured.err
 
 
 def test_capacity_rejects_malformed_ball(capsys):

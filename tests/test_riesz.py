@@ -2,12 +2,14 @@
 
 The Gaussian comparisons are pinned by the Hankel-transform oracle in
 oracles.py, which shares nothing with the convolution code.  The pruned
-scipy.fft engine is held to an unpruned numpy.fft convolution with the same
-kernels and to the direct sum, both also in oracles.py.
+numpy.fft engine is held bit for bit to scipy.fft's transforms, and to an
+unpruned numpy.fft convolution with the same kernels and to the direct sum,
+both also in oracles.py.
 """
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -257,6 +259,51 @@ def test_engine_bitwise_independent_of_worker_count(monkeypatch, n, N):
     clear_plan_cache()
     for a, b in zip(*results):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n, N", [(2, 64), (2, 100), (3, 16), (3, 12)])
+def test_hats_equal_scipy_dct1_and_dst1_bitwise(monkeypatch, n, N, workers):
+    # the reference: the octant kernels through scipy.fft.dctn/dst type 1,
+    # compared as bytes, so signed zeros count too
+    monkeypatch.setattr(riesz, "_PARALLEL_MIN_POINTS", 1)
+    g = Grid(n, 4.0, N)
+    octant = np.meshgrid(*[np.arange(N + 1) * g.h] * n, indexing="ij", sparse=True)
+    clear_plan_cache()
+    with fft_workers(workers):
+        for order, family in ((1.5, _scalar_kernels), (0.75, _gradient_kernels)):
+            hats = riesz._kernel_hats(g, order, family)
+            for (hat, odd), kern in zip(hats, family(g, order, octant)):
+                kern = _zero_offset_n_slots(kern, N)
+                ref = scipy.fft.dctn(kern, type=1, axes=[ax for ax in range(n) if ax != odd])
+                if odd is not None:
+                    inner = (slice(None),) * odd + (slice(1, N),)
+                    ref[inner] = scipy.fft.dst(ref[inner], type=1, axis=odd)
+                assert hat.tobytes() == ref.tobytes()
+    clear_plan_cache()
+
+
+@pytest.mark.parametrize("n, N", [(2, 48), (3, 12)])
+def test_pruned_transforms_equal_scipy_bitwise(n, N):
+    rng = np.random.default_rng(N)
+    x = rng.standard_normal((N,) * n)
+    forward = scipy.fft.rfftn(x, s=(2 * N,) * n)
+    assert riesz._rfftn_padded(x, 2 * N).tobytes() == forward.tobytes()
+    spec = rng.standard_normal(forward.shape) + 1j * rng.standard_normal(forward.shape)
+    ref = spec
+    for ax in range(n - 1):
+        ref = scipy.fft.ifft(ref, axis=ax)[(slice(None),) * ax + (slice(0, N),)]
+    ref = scipy.fft.irfft(ref, n=2 * N, axis=-1)[..., :N]
+    assert riesz._irfftn_cropped(spec.copy(), N).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (48, 100), (16, 16, 16), (12, 10, 9)])
+def test_fourier_multiplier_equals_scipy_bitwise(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal(shape)
+    symbol = rng.random(shape[:-1] + (shape[-1] // 2 + 1,))
+    ref = scipy.fft.irfftn(symbol * scipy.fft.rfftn(x), s=shape)
+    assert riesz.fourier_multiplier(x, symbol).tobytes() == ref.tobytes()
 
 
 def test_workers_follow_the_transform_size():
