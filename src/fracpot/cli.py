@@ -44,6 +44,7 @@ from .io import (
     measure_from_dict,
     read_field,
     read_measure,
+    read_object,
     write_field,
     write_measure,
 )
@@ -58,50 +59,38 @@ from .riesz import (
 )
 from .solver import CHECK_NAMES, constants_ledger, picard_solve, run_checks
 
-# optional config keys: their JSON type (float: any number) and default
-_OPTIONAL = {
+# a config as io.read_object reads it; the measure has a schema per kind
+_CONFIG = {
+    "version": int,
+    "params": {"n": int, "s": float, "q": float},
+    "grid": {"L": float, "N": int},
+    "measure": dict,
     "theta": (float, 0.5),
     "tol": (float, 1e-8),
     "max_iter": (int, 200),
     "outputs": (str, "out"),
     "checks": (list, sorted(CHECK_NAMES)),
 }
-_CONFIG_KEYS = {"version", "params", "grid", "measure", *_OPTIONAL}
-_JSON_TYPES = {int: "integer", float: "number", str: "string", list: "list", dict: "object"}
+_MASK_BALL = {"ball": {"center": [float], "radius": float}}
 # exit code per error; the first match wins, so the catch-all comes last
 _EXIT_CODES = ((NotAdmissible, 2), (Diverged, 3), (GridMismatch, 5), (OSError, 4), (Exception, 1))
 
 
-def _reject_unknown(d: dict, allowed: set, where: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _get(d: dict, key: str, kind: type, where: str = "", default=None):
-    """d[key], of JSON type kind (float: any number, as float); default if absent, if given."""
-    if key not in d:
-        if default is None:
-            raise ConfigError(f"config is missing {where}{key}")
-        return default
-    value = d[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise ConfigError(f"config {where}{key} must be a JSON {_JSON_TYPES[kind]}, not {value!r}")
-    return float(value) if kind is float else value
-
-
-def load_config(path: Path | str) -> dict:
-    """The JSON object of a config file, its version and top-level keys checked."""
+def _read_config(path: Path | str) -> tuple[dict, dict]:
+    """A config file's JSON object as written, and as read against _CONFIG."""
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    if raw.get("version") != 1:
+    config = read_object(raw, _CONFIG, "config")
+    if config["version"] != 1:
         raise ConfigError("config version must be 1")
-    _reject_unknown(raw, _CONFIG_KEYS, "config")
-    return raw
+    return raw, config
+
+
+def load_config(path: Path | str) -> dict:
+    """The JSON object of a config file, checked against the config schema."""
+    return _read_config(path)[0]
 
 
 @dataclass(frozen=True)
@@ -121,24 +110,19 @@ class Scenario:
 
 def load_scenario(path: Path | str, theta: float | None = None) -> Scenario:
     """Read and validate a config once; theta, if given, overrides the config's."""
-    config = load_config(path)
-    p, g = _get(config, "params", dict), _get(config, "grid", dict)
-    _reject_unknown(p, {"n", "s", "q"}, "config.params")
-    _reject_unknown(g, {"L", "N"}, "config.grid")
-    params = Parameters(*(_get(p, k, t, "params.") for k, t in zip("nsq", (int, float, float))))
-    N = _get(g, "N", int, "grid.")
+    raw, c = _read_config(path)
+    params = Parameters(**c["params"])
+    N = c["grid"]["N"]
     if N <= 0 or N & (N - 1) != 0:
         raise ConfigError(f"N={N} is not a power of two")
-    grid = Grid(n=params.n, L=_get(g, "L", float, "grid."), N=N)
-    measure = measure_from_dict(_get(config, "measure", dict), base_dir=Path(path).parent)
+    grid = Grid(n=params.n, **c["grid"])
+    measure = measure_from_dict(c["measure"], base_dir=Path(path).parent)
     _check_measure(measure, params, grid)
-    opt = {key: _get(config, key, kind, default=value) for key, (kind, value) in _OPTIONAL.items()}
-    for name in opt["checks"]:
+    for name in c["checks"]:
         if not isinstance(name, str) or name not in CHECK_NAMES:
             raise ConfigError(f"unknown check {name!r}")
-    opt["checks"] = tuple(opt["checks"])
-    opt["theta"] = opt["theta"] if theta is None else theta
-    return Scenario(params, grid, measure, config=config, **opt)
+    return Scenario(params, grid, measure, c["theta"] if theta is None else theta, c["tol"],
+                    c["max_iter"], c["outputs"], tuple(c["checks"]), config=raw)
 
 
 def _check_measure(measure: Measure, params: Parameters, grid: Grid) -> None:
@@ -193,7 +177,7 @@ def _write_run_meta(outdir: Path, args_threads: int | None) -> None:
 
 def cmd_constants(args) -> int:
     params = Parameters(n=args.n, s=args.s, q=args.q)
-    theta = _OPTIONAL["theta"][1] if args.theta is None else args.theta
+    theta = _CONFIG["theta"][1] if args.theta is None else args.theta
     print(json.dumps(asdict(constants_ledger(params, theta)), indent=2, sort_keys=True))
     return 0
 
@@ -232,13 +216,6 @@ def cmd_wolff(args) -> int:
     return 0
 
 
-def _parse_ball(numbers, n: int) -> tuple[tuple[float, ...], float]:
-    parts = [float(x) for x in numbers]
-    if len(parts) != n + 1:
-        raise ConfigError(f"a ball needs {n} center coordinates and a radius")
-    return tuple(parts[:-1]), parts[-1]
-
-
 def cmd_capacity(args) -> int:
     given = {"--ball": args.ball, "--mask-file": args.mask_file, "--sweep": args.sweep}
     targets = [flag for flag, value in given.items() if value is not None]
@@ -267,26 +244,24 @@ def cmd_capacity(args) -> int:
         return 0
 
     grid = Grid(n=args.n, L=4.0 if args.L is None else args.L, N=args.N)
-    if args.ball is not None:
-        center, radius = _parse_ball(args.ball.split(","), grid.n)
-        est = estimate_ball_capacity(center, radius, args.alpha, args.p, grid)
+    spec = None if args.mask_file is None else json.loads(Path(args.mask_file).read_text())
+    if isinstance(spec, list):
+        cells = np.asarray(spec)
+        ok = cells.ndim == 2 and cells.shape[1] == grid.n and cells.dtype.kind == "i"
+        if not (ok and cells.min() >= 0 and cells.max() < grid.N):
+            raise ConfigError(f"mask entries must be {grid.n} integers in [0, {grid.N})")
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[tuple(cells.T)] = True
+        est = estimate_capacity(mask, args.alpha, args.p, grid)
     else:
-        spec = json.loads(Path(args.mask_file).read_text())
-        if isinstance(spec, dict) and "ball" in spec:
-            ball = spec["ball"]
-            try:
-                center, radius = _parse_ball([*ball["center"], ball["radius"]], grid.n)
-            except (KeyError, TypeError) as exc:
-                raise ConfigError('a mask ball is {"center": [...], "radius": r}') from exc
-            est = estimate_ball_capacity(center, radius, args.alpha, args.p, grid)
+        if spec is None:
+            *center, radius = (float(x) for x in args.ball.split(","))
         else:
-            cells = np.asarray(spec)
-            ok = cells.ndim == 2 and cells.shape[1] == grid.n and cells.dtype.kind == "i"
-            if not (ok and cells.min() >= 0 and cells.max() < grid.N):
-                raise ConfigError(f"mask entries must be {grid.n} integers in [0, {grid.N})")
-            mask = np.zeros(grid.shape, dtype=bool)
-            mask[tuple(cells.T)] = True
-            est = estimate_capacity(mask, args.alpha, args.p, grid)
+            ball = read_object(spec, _MASK_BALL, "mask file")["ball"]
+            center, radius = ball["center"], ball["radius"]
+        if len(center) != grid.n:
+            raise ConfigError(f"a ball needs {grid.n} center coordinates and a radius")
+        est = estimate_ball_capacity(tuple(center), radius, args.alpha, args.p, grid)
     payload = {f.name: getattr(est, f.name) for f in fields(est) if f.name != "candidate"}
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:

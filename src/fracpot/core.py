@@ -242,16 +242,21 @@ class Measure:
 
     @classmethod
     def uniform_ball(
-        cls, center: np.ndarray, radius: float, amplitude: float = 1.0
+        cls, center: np.ndarray, radius: float, amplitude: float = 1.0,
+        support_radius: float | None = None,
     ) -> "Measure":
+        """support_radius is |center| + radius; a declared one must contain the ball."""
         center = np.asarray(center, dtype=float).ravel()
         if radius <= 0.0:
             raise ValueError("ball radius must be positive")
         if amplitude < 0.0:
             raise NegativeDensity("ball density must be nonnegative")
+        reach = float(np.linalg.norm(center) + radius)
+        if support_radius is not None and reach > support_radius * (1.0 + 1e-12) + 1e-300:
+            raise ValueError("the ball lies outside the declared support ball")
         return cls(
             kind="uniform_ball",
-            support_radius=float(np.linalg.norm(center) + radius),
+            support_radius=reach,
             ball_center=center,
             ball_radius=float(radius),
             ball_amplitude=float(amplitude),

@@ -31,42 +31,28 @@ _LEAK_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Analytic test function: gaussian or compactly supported bump."""
+    """Gaussian test function exp(-|x - center|^2 / (2 width^2))."""
 
     __test__ = False  # not a pytest class, despite the name
 
-    kind: str
     center: tuple[float, ...]
     width: float
-    amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("gaussian", "bump"):
-            raise ValueError(f"unknown test function kind {self.kind!r}")
         if self.width <= 0.0:
             raise ValueError("test function width must be positive")
-
-    def _profile(self, r2: np.ndarray) -> np.ndarray:
-        """The function at squared distance r2 * width^2 from its center."""
-        if self.kind == "gaussian":
-            return self.amplitude * np.exp(-0.5 * r2)
-        out = np.zeros_like(r2)
-        inside = r2 < 1.0
-        # normalised so the peak value equals the amplitude
-        out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
-        return out
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         center = np.asarray(self.center, dtype=float)
-        return self._profile(np.sum((pts - center) ** 2, axis=-1) / self.width**2)
+        return np.exp(-0.5 * (np.sum((pts - center) ** 2, axis=-1) / self.width**2))
 
     def on_grid(self, grid: Grid) -> GridField:
         if len(self.center) != grid.n:
             raise GridMismatch("test function center dimension does not match grid")
         r2 = grid.dist2(self.center)
         r2 /= self.width**2
-        return GridField(grid, self._profile(r2))
+        return GridField(grid, np.exp(-0.5 * r2))
 
 
 def default_test_functions(grid: Grid) -> list[TestFunction]:
@@ -90,11 +76,11 @@ def default_test_functions(grid: Grid) -> list[TestFunction]:
         return tuple(out)
 
     return [
-        TestFunction("gaussian", center(0.0), 0.050 * L),
-        TestFunction("gaussian", center(0.03 * L), 0.040 * L),
-        TestFunction("gaussian", center(-0.03 * L), 0.040 * L),
-        TestFunction("gaussian", center(0.0, 0.03 * L), 0.045 * L),
-        TestFunction("gaussian", center(0.0, -0.03 * L), 0.045 * L),
+        TestFunction(center(0.0), 0.050 * L),
+        TestFunction(center(0.03 * L), 0.040 * L),
+        TestFunction(center(-0.03 * L), 0.040 * L),
+        TestFunction(center(0.0, 0.03 * L), 0.045 * L),
+        TestFunction(center(0.0, -0.03 * L), 0.045 * L),
     ]
 
 

@@ -28,6 +28,51 @@ def write_field(field: GridField, path: Path | str) -> None:
     sidecar_path(path).write_text(json.dumps(meta, sort_keys=True) + "\n")
 
 
+_JSON_TYPES = {int: "integer", float: "number", str: "string", list: "list", dict: "object"}
+
+
+def read_object(value, schema: dict, where: str, error: type = ConfigError) -> dict:
+    """A JSON object from outside the program, checked against schema, with defaults filled in.
+
+    schema maps each allowed key to the spec of its value: float (any JSON
+    number, returned as a float), int, str, list or dict (that JSON type;
+    a bool is never a number), a schema dict (a nested object), or [spec]
+    (a non-empty list of values of that spec).  A (spec, default) pair makes
+    the key optional.  A non-object, an unknown or missing key and a value
+    of another type raise error, naming where the value sits.
+    """
+    if not isinstance(value, dict):
+        raise error(f"{where} must be a JSON object, not {value!r}")
+    unknown = set(value) - set(schema)
+    if unknown:
+        raise error(f"unknown keys in {where}: {sorted(unknown)}")
+    out = {}
+    for key, spec in schema.items():
+        optional = isinstance(spec, tuple)
+        if key in value:
+            out[key] = _read_value(value[key], spec[0] if optional else spec, f"{where}.{key}", error)
+        elif optional:
+            out[key] = spec[1]
+        else:
+            raise error(f"{where} is missing {key!r}")
+    return out
+
+
+def _read_value(value, spec, where: str, error: type):
+    if isinstance(spec, dict):
+        return read_object(value, spec, where, error)
+    if isinstance(spec, list):
+        if not isinstance(value, list) or not value:
+            raise error(f"{where} must be a non-empty JSON list, not {value!r}")
+        return [_read_value(v, spec[0], f"{where}[{i}]", error) for i, v in enumerate(value)]
+    if isinstance(value, bool) or not isinstance(value, (int, float) if spec is float else spec):
+        raise error(f"{where} must be a JSON {_JSON_TYPES[spec]}, not {value!r}")
+    return float(value) if spec is float else value
+
+
+_SIDECAR = {"n": int, "N": int, "L": float}
+
+
 def read_field(path: Path | str) -> GridField:
     path = Path(path)
     try:
@@ -35,10 +80,7 @@ def read_field(path: Path | str) -> GridField:
         raw = path.read_bytes()
     except FileNotFoundError as exc:
         raise ConfigError(f"missing field file or sidecar: {exc}") from exc
-    for key in ("n", "N", "L"):
-        if key not in meta:
-            raise GridMismatch(f"sidecar {sidecar_path(path)} lacks key {key!r}")
-    grid = Grid(n=int(meta["n"]), L=float(meta["L"]), N=int(meta["N"]))
+    grid = Grid(**read_object(meta, _SIDECAR, f"sidecar {sidecar_path(path)}", GridMismatch))
     values = np.frombuffer(raw, dtype="<f8")
     if values.size != grid.size:
         raise GridMismatch(
@@ -76,46 +118,32 @@ def measure_to_dict(measure: Measure, density_file: str | None = None) -> dict:
     }
 
 
+_COORDINATES = [float]
+_SUPPORT = (float, None)
+_MEASURES = {
+    "atomic": {"kind": str, "atoms": [{"x": _COORDINATES, "w": float}], "support_radius": _SUPPORT},
+    "density": {"kind": str, "density_file": str, "support_radius": _SUPPORT},
+    "uniform_ball": {"kind": str, "ball": {"center": _COORDINATES, "radius": float},
+                     "amplitude": (float, 1.0), "support_radius": _SUPPORT},
+}
+
+
 def measure_from_dict(spec: dict, base_dir: Path | str = ".") -> Measure:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("measure spec must be an object with a 'kind' key")
-    kind = spec["kind"]
-    known = {
-        "atomic": {"kind", "atoms", "support_radius"},
-        "density": {"kind", "density_file", "support_radius"},
-        "uniform_ball": {"kind", "ball", "amplitude", "support_radius"},
-    }
-    if kind not in known:
-        raise ConfigError(f"unknown measure kind {kind!r}")
-    extra = set(spec) - known[kind]
-    if extra:
-        raise ConfigError(f"unknown keys in measure spec: {sorted(extra)}")
-    radius = spec.get("support_radius")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _MEASURES:
+        raise ConfigError(f"measure kind must be one of {sorted(_MEASURES)}, not {kind!r}")
+    m = read_object(spec, _MEASURES[kind], "measure")
     if kind == "atomic":
-        atoms = spec.get("atoms")
-        if not isinstance(atoms, list) or not atoms:
-            raise ConfigError("atomic measure needs a non-empty list of atoms")
-        try:
-            pts = np.array([a["x"] for a in atoms], dtype=float)
-            w = np.array([a["w"] for a in atoms], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"each atom needs coordinates 'x' and a weight 'w': {exc!r}") from exc
-        if pts.ndim != 2 or w.ndim != 1:
-            raise ConfigError("each atom needs a list of coordinates 'x' and a number 'w'")
-        return Measure.from_atoms(pts, w, support_radius=radius)
+        points = [atom["x"] for atom in m["atoms"]]
+        if len({len(x) for x in points}) > 1:
+            raise ConfigError("the atoms of a measure differ in dimension")
+        weights = [atom["w"] for atom in m["atoms"]]
+        return Measure.from_atoms(points, weights, support_radius=m["support_radius"])
     if kind == "density":
-        if "density_file" not in spec:
-            raise ConfigError("density measure needs 'density_file'")
-        fld = read_field(Path(base_dir) / spec["density_file"])
-        return Measure.from_density(fld, support_radius=radius)
-    ball = spec.get("ball")
-    if not isinstance(ball, dict) or "center" not in ball or "radius" not in ball:
-        raise ConfigError("uniform_ball measure needs ball.center and ball.radius")
-    return Measure.uniform_ball(
-        np.asarray(ball["center"], dtype=float),
-        float(ball["radius"]),
-        amplitude=float(spec.get("amplitude", 1.0)),
-    )
+        fld = read_field(Path(base_dir) / m["density_file"])
+        return Measure.from_density(fld, support_radius=m["support_radius"])
+    return Measure.uniform_ball(m["ball"]["center"], m["ball"]["radius"], m["amplitude"],
+                                support_radius=m["support_radius"])
 
 
 def write_measure(measure: Measure, path: Path | str) -> None:

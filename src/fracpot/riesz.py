@@ -312,58 +312,51 @@ def _transform(fn, a: np.ndarray, out: np.ndarray, axis: int, points: int, **kw)
     _over_lines(lambda b: fn(a[b], axis=axis, out=out[b], **kw), a.shape, axis, points)
 
 
-def _rfftn_padded(values: np.ndarray, size: int) -> np.ndarray:
-    """rfftn of values zero-padded to size points on every axis.
+def _rfftn_padded(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """rfftn of values zero-padded to shape.
 
     The rfft rows land in a zeroed padded buffer and each further axis is
     transformed in place on the lines that hold data only, so no all-zero
-    line is transformed.
+    line is transformed.  The passes run in pocketfft's n-D order: the last
+    axis first, the others in increasing order.
     """
-    n, N = values.ndim, values.shape[0]
-    points = size**n
-    out = np.zeros((size,) * (n - 1) + (size // 2 + 1,), dtype=complex)
-    rows = out[(slice(0, N),) * (n - 1)]
-    _transform(np.fft.rfft, values, rows, n - 1, points, n=size)
+    n, points = values.ndim, math.prod(shape)
+    data = tuple(slice(0, m) for m in values.shape)
+    out = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+    _transform(np.fft.rfft, values, out[data[:-1]], n - 1, points, n=shape[-1])
     for ax in range(n - 1):
-        live = out[(slice(None),) * (ax + 1) + (slice(0, N),) * (n - 2 - ax)]
+        live = out[(slice(None),) * (ax + 1) + data[ax + 1 : -1]]
         _transform(np.fft.fft, live, live, ax, points)
     return out
 
 
-def _irfftn_cropped(spec: np.ndarray, N: int) -> np.ndarray:
-    """First N points per axis of irfftn(spec) on 2N points per axis.
+def _irfftn_cropped(spec: np.ndarray, shape: tuple[int, ...], crop: tuple[int, ...],
+                    norm: str | None = None) -> np.ndarray:
+    """The first crop points per axis of irfftn(spec, s=shape, norm=norm).
 
     Each leading axis is cropped right after its inverse transform, so later
-    transforms skip the lines the result discards.  spec is overwritten.
+    transforms skip the lines the result discards; the last axis goes last,
+    as in pocketfft.  spec is overwritten.
     """
-    n = spec.ndim
-    points = (2 * N) ** n
+    n, points = spec.ndim, math.prod(shape)
     for ax in range(n - 1):
-        _transform(np.fft.ifft, spec, spec, ax, points)
-        spec = spec[(slice(None),) * ax + (slice(0, N),)]
-    out = np.empty(spec.shape[:-1] + (2 * N,))
-    _transform(np.fft.irfft, spec, out, n - 1, points, n=2 * N)
-    return out[..., :N]
+        _transform(np.fft.ifft, spec, spec, ax, points, norm=norm)
+        spec = spec[(slice(None),) * ax + (slice(0, crop[ax]),)]
+    out = np.empty(spec.shape[:-1] + (shape[-1],))
+    _transform(np.fft.irfft, spec, out, n - 1, points, n=shape[-1], norm=norm)
+    return out[..., : crop[-1]]
 
 
 def fourier_multiplier(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     """Periodic Fourier multiplier on the grid itself: irfftn(symbol * rfftn(values)).
 
-    The passes are pocketfft's own for an n-D real transform: the last axis
-    first forward and last back, the others in increasing order, and the
-    1/size of the inverse applied once, at the end, as a factor rounded from
-    long double.  numpy's rfftn/irfftn order and scale the axes otherwise.
+    The 1/size of the inverse is applied once, at the end, as a factor
+    rounded from long double, as pocketfft applies it to an n-D transform;
+    numpy's rfftn/irfftn order and scale the axes otherwise.
     """
-    n, points = values.ndim, values.size
-    spec = np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,), dtype=complex)
-    _transform(np.fft.rfft, values, spec, n - 1, points)
-    for ax in range(n - 1):
-        _transform(np.fft.fft, spec, spec, ax, points)
+    spec = _rfftn_padded(values, values.shape)
     spec *= symbol
-    for ax in range(n - 1):
-        _transform(np.fft.ifft, spec, spec, ax, points, norm="forward")
-    out = np.empty(values.shape)
-    _transform(np.fft.irfft, spec, out, n - 1, points, n=values.shape[-1], norm="forward")
+    out = _irfftn_cropped(spec, values.shape, values.shape, norm="forward")
     out *= float(1 / np.longdouble(values.size))
     return out
 
@@ -528,7 +521,8 @@ def _convolve(f: GridField, *families: tuple[float, object]) -> list[GridField]:
         raise NegativeDensity("potential of a signed density is not defined here")
     g = f.grid
     hats = [pair for order, family in families for pair in _kernel_hats(g, order, family)]
-    f_hat = _rfftn_padded(f.values, 2 * g.N)
+    padded = (2 * g.N,) * g.n
+    f_hat = _rfftn_padded(f.values, padded)
     fields = []
     for k, (hat, odd) in enumerate(hats):
         # each product lives only through its own inverse transform (no name
@@ -537,7 +531,7 @@ def _convolve(f: GridField, *families: tuple[float, object]) -> list[GridField]:
         out = f_hat if k == len(hats) - 1 else np.empty_like(f_hat)
         spec = _apply_hat(f_hat, hat, odd, g.N, out)
         del out
-        fields.append(GridField(g, _irfftn_cropped(spec, g.N) * g.cell_volume))
+        fields.append(GridField(g, _irfftn_cropped(spec, padded, g.shape) * g.cell_volume))
         del spec
     return fields
 

@@ -62,6 +62,14 @@ def test_constants_prints_ledger(capsys):
     assert payload["a_limit"] == pytest.approx(2.5639164923300415, rel=1e-12)
 
 
+def test_constants_theta_defaults_to_one_half(capsys):
+    argv = ["constants", "--n", "2", "--s", "0.75", "--q", "2.0"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main([*argv, "--theta", "0.5"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_constants_rejects_subcritical_exponent(capsys):
     rc = main(["constants", "--n", "2", "--s", "0.75", "--q", "1.2"])
     assert rc == 1
@@ -288,8 +296,11 @@ def test_config_rejects_measure_of_another_dimension(tmp_path, capsys, measure):
         [{"w": 1.0}],
         [{"x": [0.0, 0.0], "w": 1.0}, {"x": [0.5], "w": 1.0}],
         [{"x": 0.5, "w": 1.0}],
+        [{"x": ["0", "0"], "w": 1.0}],
+        [{"x": [0.0, 0.0], "w": "0.001"}],
     ],
-    ids=["not-a-list", "no-weight", "no-coordinates", "ragged", "scalar-coordinates"],
+    ids=["not-a-list", "no-weight", "no-coordinates", "ragged", "scalar-coordinates",
+         "string-coordinates", "string-weight"],
 )
 def test_config_rejects_malformed_atoms(tmp_path, capsys, atoms):
     measure = {"kind": "atomic", "atoms": atoms, "support_radius": 1.0}
@@ -329,6 +340,16 @@ def test_scenario_defaults_and_theta_override(tmp_path):
         ({"outputs": 5}, "outputs"),
         ({"params": {"n": 2.5, "s": 0.75, "q": 2.0}}, "params.n"),
         ({"grid": {"L": 8.0, "N": 128.0}}, "grid.N"),
+        ({"measure": {"kind": "atomic", "atoms": [{"x": [0.0, 0.0], "w": 1.0}],
+                      "support_radius": "0.5"}}, "support_radius"),
+        ({"measure": {"kind": "uniform_ball", "ball": {"center": [0.0, 0.0], "radius": "1"}}},
+         "ball.radius"),
+        ({"measure": {"kind": "uniform_ball", "ball": {"center": [0.0, 0.0], "radius": 1.0},
+                      "amplitude": True}}, "amplitude"),
+        # not a type error, but the same silent acceptance: a declared support
+        # radius that does not contain the ball
+        ({"measure": {"kind": "uniform_ball", "ball": {"center": [0.0, 0.0], "radius": 1.0},
+                      "support_radius": 0.1}}, "support ball"),
     ],
     ids=lambda v: json.dumps(v) if isinstance(v, dict) else v,
 )
@@ -413,6 +434,32 @@ def test_verify_rejects_a_stored_atom_without_a_weight(solved, tmp_path, capsys)
     (fields / "measure.json").write_text(json.dumps(spec))
     assert main(["verify", "--config", str(cfg), "--fields", str(fields)]) == 1
     assert "error:" in capsys.readouterr().err
+    assert not (fields / "verify_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, content, code",
+    [
+        ("measure.json", {"kind": "uniform_ball", "ball": {"center": [0.0, 0.0], "radius": 1.0},
+                          "amplitude": "0.001", "support_radius": 1.0}, 1),
+        ("u.field.json", {"n": 2, "N": "128", "L": 8.0}, 5),
+        ("u.field.json", {"n": 2.0, "N": 128, "L": 8.0}, 5),
+        ("u.field.json", {"n": 2, "N": 128, "L": "8"}, 5),
+        ("u.field.json", 5, 5),
+    ],
+    ids=["string-amplitude", "string-N", "float-n", "string-L", "bare-number"],
+)
+def test_verify_rejects_a_malformed_stored_input(solved, tmp_path, capsys, name, content, code):
+    # neither parsed from a string, truncated, nor a traceback
+    cfg, out = solved
+    fields = tmp_path / "fields"
+    fields.mkdir()
+    for path in out.glob("*.field*"):
+        (fields / path.name).write_bytes(path.read_bytes())
+    (fields / "measure.json").write_bytes((out / "measure.json").read_bytes())
+    (fields / name).write_text(json.dumps(content))
+    assert main(["verify", "--config", str(cfg), "--fields", str(fields)]) == code
+    assert capsys.readouterr().err.startswith("error:")
     assert not (fields / "verify_report.json").exists()
 
 
@@ -533,7 +580,16 @@ def test_capacity_mask_file_payload(tmp_path, capsys, spec):
 
 
 @pytest.mark.parametrize(
-    "spec", [{"ball": {"radius": 1}}, {"ball": {"center": [0, 0]}}, {"ball": [0, 0, 1]}]
+    "spec",
+    [
+        {"ball": {"radius": 1}},
+        {"ball": {"center": [0, 0]}},
+        {"ball": [0, 0, 1]},
+        {"ball": {"center": ["0", "0"], "radius": 1}},
+        {"ball": {"center": [True, 0], "radius": 1}},
+        {"ball": {"center": [0, 0], "radius": 1, "weight": 2}},
+        {"ball": {"center": [0, 0], "radius": 1}, "cells": []},
+    ],
 )
 def test_capacity_mask_file_ball_needs_a_center_and_a_radius(tmp_path, capsys, spec):
     mask = tmp_path / "mask.json"

@@ -93,25 +93,14 @@ def test_spectral_operator_self_adjoint_and_nonnegative():
     assert np.sum(phi.values * lp) >= 0.0
 
 
-def test_test_function_rejects_unknown_kind_and_bad_width():
+def test_test_function_rejects_bad_width():
     with pytest.raises(ValueError):
-        TestFunction("wavelet", (0.0, 0.0), 1.0)
-    with pytest.raises(ValueError):
-        TestFunction("gaussian", (0.0, 0.0), -1.0)
-
-
-def test_test_function_bump_is_compactly_supported():
-    phi = TestFunction("bump", (0.0, 0.0), 1.0)
-    pts = np.array([[0.0, 0.0], [0.99, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    vals = phi.evaluate(pts)
-    assert vals[0] == pytest.approx(1.0)
-    assert vals[1] > 0.0
-    assert vals[2] == 0.0 and vals[3] == 0.0
+        TestFunction((0.0, 0.0), -1.0)
 
 
 def test_test_function_grid_and_point_evaluations_agree():
     g = Grid(2, 4.0, 32)
-    phi = TestFunction("gaussian", (0.5, -0.25), 0.7, amplitude=2.0)
+    phi = TestFunction((0.5, -0.25), 0.7)
     on_grid = phi.on_grid(g).values
     pts = np.stack([c.ravel() for c in np.meshgrid(g.axis(), g.axis(), indexing="ij")], -1)
     direct = phi.evaluate(pts).reshape(g.shape)
@@ -121,7 +110,7 @@ def test_test_function_grid_and_point_evaluations_agree():
 def test_test_function_center_dimension_checked():
     g = Grid(2, 4.0, 32)
     with pytest.raises(GridMismatch):
-        TestFunction("gaussian", (0.0, 0.0, 0.0), 1.0).on_grid(g)
+        TestFunction((0.0, 0.0, 0.0), 1.0).on_grid(g)
 
 
 def test_default_family_is_admissible_on_its_own_grid():
@@ -130,7 +119,6 @@ def test_default_family_is_admissible_on_its_own_grid():
         family = default_test_functions(g)
         assert len(family) == 5
         for phi in family:
-            assert phi.kind == "gaussian"
             assert phi.width <= 0.05 * L
             assert max(abs(c) for c in phi.center) <= 0.03 * L
             # each member passes the leak check where it will be used

@@ -1,11 +1,15 @@
-"""Source hygiene: fracpot keeps no unused import and no orphaned private name.
+"""Source hygiene: fracpot keeps no unused import, no orphaned private name
+and no reference to an undefined global.
 
 A refactor that moves work from one module to another tends to leave the
-old imports and helpers behind; this catches them.  __init__.py is exempt
-from the import check, since its imports are the package's re-exports.
+old imports and helpers behind, or a reader of a name it deleted; this
+catches them.  __init__.py is exempt from the import check, since its
+imports are the package's re-exports.
 """
 
 import ast
+import builtins
+import symtable
 from pathlib import Path
 
 import pytest
@@ -73,3 +77,23 @@ def test_every_private_name_is_referenced():
         for name in _private_definitions(tree) - referenced
     }
     assert not orphans, f"private names nothing in fracpot refers to: {sorted(orphans)}"
+
+
+def _global_references(table: symtable.SymbolTable) -> set[str]:
+    """Names looked up as globals anywhere in table or the scopes nested in it."""
+    names = {
+        sym.get_name()
+        for sym in table.get_symbols()
+        if sym.is_referenced() and (sym.is_global() or table.get_type() == "module")
+    }
+    for child in table.get_children():
+        names |= _global_references(child)
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_every_global_name_is_defined(path):
+    module = symtable.symtable(path.read_text(), str(path), "exec")
+    defined = {s.get_name() for s in module.get_symbols() if s.is_assigned() or s.is_imported()}
+    undefined = _global_references(module) - defined - set(dir(builtins))
+    assert not undefined, f"{path.name} refers to undefined globals {sorted(undefined)}"

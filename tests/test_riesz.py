@@ -288,13 +288,13 @@ def test_pruned_transforms_equal_scipy_bitwise(n, N):
     rng = np.random.default_rng(N)
     x = rng.standard_normal((N,) * n)
     forward = scipy.fft.rfftn(x, s=(2 * N,) * n)
-    assert riesz._rfftn_padded(x, 2 * N).tobytes() == forward.tobytes()
+    assert riesz._rfftn_padded(x, (2 * N,) * n).tobytes() == forward.tobytes()
     spec = rng.standard_normal(forward.shape) + 1j * rng.standard_normal(forward.shape)
     ref = spec
     for ax in range(n - 1):
         ref = scipy.fft.ifft(ref, axis=ax)[(slice(None),) * ax + (slice(0, N),)]
     ref = scipy.fft.irfft(ref, n=2 * N, axis=-1)[..., :N]
-    assert riesz._irfftn_cropped(spec.copy(), N).tobytes() == ref.tobytes()
+    assert riesz._irfftn_cropped(spec.copy(), (2 * N,) * n, (N,) * n).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(64, 64), (48, 100), (16, 16, 16), (12, 10, 9)])
