@@ -31,6 +31,7 @@ which the tests pin as measured.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,33 +127,76 @@ def estimate_capacity(
     bound is only about as accurate as the square root of the dual's, so a
     tol below about 1e-8 ends in the latter once the dual has converged.
 
-    It runs on the unit-spacing grid Grid(n, N/2, N): I_alpha is homogeneous
-    of degree alpha in h, so the candidate maps back as h^(-alpha) u and the
-    bounds as h^(n - alpha p) times theirs, and self-similar problems run
-    identical iterations.  On the caller's grid the candidate is divided by
-    min_E I_alpha u where that is below 1 and measured again; value is its
-    h^n sum u^p, and upper_bound the best feasible objective the loop
-    reached, or value if rounding puts that above it.
+    The loop runs on the unit-spacing grid Grid(n, N/2, N): I_alpha is
+    homogeneous of degree alpha in h, so the candidate maps back as
+    h^(-alpha) u and the bounds as h^(n - alpha p) times theirs.  That
+    problem depends only on (n, N, mask, alpha, p, tol, max_iter), so it is
+    solved once per process and every self-similar call (the same mask on a
+    box of another size, as in a capacity sweep) reuses the loop's result;
+    iterations is the count of the loop that produced it.  On the caller's
+    grid, on every call, the candidate is divided by min_E I_alpha u where
+    that is below 1 and measured again; value is its h^n sum u^p, and
+    upper_bound the best feasible objective the loop reached, or value if
+    rounding puts that above it.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != grid.shape:
         raise ConfigError("mask shape does not match grid")
     if not mask.any():
         raise EmptySet("capacity of the empty set is trivially zero")
-    unit = Grid(grid.n, grid.N / 2.0, grid.N)
     scale = grid.h ** (grid.n - alpha * p)
+    try:
+        best_u, best_val, lower, it = _unit_solve(
+            grid.n, grid.N, mask.tobytes(), alpha, p, tol, max_iter
+        )
+    except NotConverged as exc:
+        why, lower, best_val = exc.args
+        raise NotConverged(
+            f"{why}; capacity in [{lower * scale:.10g}, {best_val * scale:.10g}]"
+        ) from None
 
-    def potential(vals: np.ndarray, on: Grid = unit) -> np.ndarray:
-        return riesz_potential_field(GridField(on, vals), alpha).values
+    cand = best_u * grid.h ** (-alpha)
+    m = float(np.min(_potential(cand, alpha, grid)[mask]))
+    if m < 1.0:
+        cand = cand / m
+        m = float(np.min(_potential(cand, alpha, grid)[mask]))
+    value = grid.cell_volume * float(np.sum(cand**p))
+    return CapacityEstimate(
+        value=value,
+        upper_bound=max(best_val * scale, value),
+        lower_bound=lower * scale,
+        candidate=GridField(grid, cand),
+        iterations=it,
+        feasibility_gap=max(0.0, 1.0 - m),
+    )
+
+
+def _potential(vals: np.ndarray, alpha: float, grid: Grid) -> np.ndarray:
+    return riesz_potential_field(GridField(grid, vals), alpha).values
+
+
+@lru_cache(maxsize=8)
+def _unit_solve(
+    n: int, N: int, mask_bytes: bytes, alpha: float, p: float, tol: float, max_iter: int
+) -> tuple[np.ndarray, float, float, int]:
+    """estimate_capacity's loop on Grid(n, N/2, N), kept per exact input.
+
+    It returns best_u (read-only), its objective, the dual lower bound and
+    the iteration count, in unit-grid terms.  A loop that does not close its
+    gap raises NotConverged(why, lower, upper), which lru_cache does not
+    keep, so each such call runs the loop again.
+    """
+    unit = Grid(n, N / 2.0, N)
+    mask = np.frombuffer(mask_bytes, dtype=bool).reshape(unit.shape)
+
+    def potential(vals: np.ndarray) -> np.ndarray:
+        return _potential(vals, alpha, unit)
 
     def primal(k_lam: np.ndarray) -> np.ndarray:
         return (np.maximum(k_lam, 0.0) / p) ** (1.0 / (p - 1.0))
 
     def dual(lam: np.ndarray, k_lam: np.ndarray) -> float:
         return float(np.sum(lam) - (p - 1.0) * np.sum(primal(k_lam) ** p))
-
-    def bracket() -> str:
-        return f"capacity in [{lower * scale:.10g}, {best_val * scale:.10g}]"
 
     # the equivalent-ball candidate is a multiple of the indicator of E, so
     # its polished form is 1_E / min_E I_alpha 1_E; the best multiple of
@@ -185,7 +229,7 @@ def estimate_capacity(
         while True:
             new = np.maximum(y + step * grad, 0.0)
             if np.array_equal(new, floor):
-                raise NotConverged(f"iterate stuck after {it} iterations; {bracket()}")
+                raise NotConverged(f"iterate stuck after {it} iterations", lower, best_val)
             if trial is None or not np.array_equal(new, trial):
                 trial, k_new = new, potential(new)
                 g_new = dual(new, k_new)
@@ -201,22 +245,9 @@ def estimate_capacity(
         # start, so the step may grow again after each accepted move
         step *= 1.5
     else:
-        raise NotConverged(f"gap open after {max_iter} iterations; {bracket()}")
-
-    cand = best_u * grid.h ** (-alpha)
-    m = float(np.min(potential(cand, grid)[mask]))
-    if m < 1.0:
-        cand = cand / m
-        m = float(np.min(potential(cand, grid)[mask]))
-    value = grid.cell_volume * float(np.sum(cand**p))
-    return CapacityEstimate(
-        value=value,
-        upper_bound=max(best_val * scale, value),
-        lower_bound=lower * scale,
-        candidate=GridField(grid, cand),
-        iterations=it,
-        feasibility_gap=max(0.0, 1.0 - m),
-    )
+        raise NotConverged(f"gap open after {max_iter} iterations", lower, best_val)
+    best_u.flags.writeable = False
+    return best_u, best_val, lower, it
 
 
 def estimate_ball_capacity(

@@ -286,8 +286,12 @@ def cmd_diagnostics(args) -> int:
     dump_report(report, outdir / "diagnostics.json")
     radii = sc.grid.radii()
     ring = (radii >= 0.6 * sc.grid.L) & (radii <= 0.8 * sc.grid.L)
-    rows = zip(radii[ring].tolist(), u.values[ring].tolist())
-    lines = ["radius,u"] + [f"{r},{v}" for r, v in rows]
+    # the ring's rows share few radii (15,577 of 230,612 at n=2, N=1024), so
+    # each distinct radius is formatted once
+    radius, which = np.unique(radii[ring], return_inverse=True)
+    text = [str(r) for r in radius.tolist()]
+    rows = zip(which.tolist(), u.values[ring].tolist())
+    lines = ["radius,u"] + [f"{text[i]},{v}" for i, v in rows]
     (outdir / "annulus.csv").write_text("\n".join(lines) + "\n")
     print(f"diagnostics: {outdir / 'diagnostics.json'}")
     return 0
@@ -335,7 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     # group would exit 2, the code of a datum that is not admissible
     p.add_argument("--ball", default=None, help="cx,cy,...,r")
     p.add_argument("--mask-file", default=None)
-    p.add_argument("--sweep", default=None, help="comma-separated radii, each on L = 4r")
+    p.add_argument("--sweep", default=None,
+                   help="comma-separated radii, each on L = 4r: one scale-free problem, "
+                   "solved once and mapped to each radius, so the slope checks that "
+                   "mapping, not the discretisation")
     p.set_defaults(func=cmd_capacity)
     sub.add_parser("verify", parents=[config, fields_in, out],
                    help="re-check stored solution fields").set_defaults(func=cmd_verify)

@@ -80,7 +80,11 @@ def read_field(path: Path | str) -> GridField:
         raw = path.read_bytes()
     except FileNotFoundError as exc:
         raise ConfigError(f"missing field file or sidecar: {exc}") from exc
-    grid = Grid(**read_object(meta, _SIDECAR, f"sidecar {sidecar_path(path)}", GridMismatch))
+    where = f"sidecar {sidecar_path(path)}"
+    try:
+        grid = Grid(**read_object(meta, _SIDECAR, where, GridMismatch))
+    except ValueError as exc:
+        raise GridMismatch(f"{where}: {exc}") from exc
     values = np.frombuffer(raw, dtype="<f8")
     if values.size != grid.size:
         raise GridMismatch(

@@ -1,10 +1,11 @@
 """Capacity bounds, candidate densities, and the admissibility ratio."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import fracpot.capacity as capacity
 from fracpot import (
     Grid,
     GridField,
@@ -143,8 +144,6 @@ def test_nested_balls_monotone(unit_ball_estimate):
 def test_estimator_never_evaluates_the_same_array_twice_in_a_row(monkeypatch):
     # the accepted trial's potential is carried into the next iteration, and
     # a trial equal to one already rejected is not evaluated again
-    import fracpot.capacity as capacity
-
     seen = []
 
     def recording(f, alpha):
@@ -152,6 +151,7 @@ def test_estimator_never_evaluates_the_same_array_twice_in_a_row(monkeypatch):
         return riesz_potential_field(f, alpha)
 
     monkeypatch.setattr(capacity, "riesz_potential_field", recording)
+    capacity._unit_solve.cache_clear()
     est = estimate_ball_capacity(np.zeros(2), 1.0, 0.5, 2.0, Grid(2, 4.0, 32))
     assert est.iterations > 1
     assert not any(np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
@@ -172,11 +172,13 @@ def test_estimate_brackets_the_quadratic_programme_oracle():
 
 def test_estimate_exactly_scale_equivariant_on_self_similar_grids():
     # L = 4r with N fixed gives the same mask on every grid, and the
-    # estimator iterates in unit-spacing units, so value / r is one number
+    # estimator iterates in unit-spacing units, so value / r is one number;
+    # the memo is cleared so that each radius runs its own loop
     values = []
     for r in (0.25, 0.5, 1.0, 2.0):
         g = Grid(2, 4.0 * r, 64)
         mask = ball_mask(g, np.zeros(2), r)
+        capacity._unit_solve.cache_clear()
         est = estimate_capacity(mask, 0.5, 2.0, g)
         assert est.lower_bound <= est.value <= est.upper_bound
         pot = riesz_potential_field(est.candidate, 0.5).values
@@ -184,6 +186,95 @@ def test_estimate_exactly_scale_equivariant_on_self_similar_grids():
         assert est.feasibility_gap <= 1e-12
         values.append(est.value / r)
     assert max(values) - min(values) <= 1e-8 * min(values)
+
+
+def _grids_convolved_on(monkeypatch) -> list:
+    """The grid of every riesz_potential_field call the estimator makes from now on."""
+    grids = []
+
+    def recording(f, alpha):
+        grids.append(f.grid)
+        return riesz_potential_field(f, alpha)
+
+    monkeypatch.setattr(capacity, "riesz_potential_field", recording)
+    return grids
+
+
+def _assert_same_estimate(a, b):
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "candidate":
+            assert x.grid == y.grid and np.array_equal(x.values, y.values)
+        else:
+            assert x == y, f.name
+
+
+def test_self_similar_estimate_reuses_the_loop_and_runs_only_the_polish(monkeypatch):
+    capacity._unit_solve.cache_clear()
+    first = estimate_ball_capacity(np.zeros(2), 1.0, 0.5, 2.0, Grid(2, 4.0, 32))
+    grids = _grids_convolved_on(monkeypatch)
+    g = Grid(2, 2.0, 32)
+    hit = estimate_ball_capacity(np.zeros(2), 0.5, 0.5, 2.0, g)
+    # one measurement of the mapped candidate, and one more if it is rescaled
+    assert 1 <= len(grids) <= 2 and set(grids) == {g}
+    assert hit.iterations == first.iterations
+    capacity._unit_solve.cache_clear()
+    cold = estimate_ball_capacity(np.zeros(2), 0.5, 0.5, 2.0, g)
+    assert len(grids) > 2 + cold.iterations
+    _assert_same_estimate(hit, cold)
+
+
+def _flip_one_cell(mask):
+    flipped = mask.copy()
+    flipped[tuple(np.argwhere(mask)[0])] = False
+    return flipped
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda a: a | {"mask": _flip_one_cell(a["mask"])},
+        lambda a: a | {"tol": 2e-6},
+        lambda a: a | {"max_iter": 4999},
+        lambda a: a | {"alpha": 0.6},
+        lambda a: a | {"p": 2.2},
+    ],
+    ids=["mask-cell", "tol", "max_iter", "alpha", "p"],
+)
+def test_estimate_with_any_other_input_runs_its_own_loop(monkeypatch, change):
+    g = Grid(2, 4.0, 32)
+    base = {"mask": ball_mask(g, np.zeros(2), 1.0), "alpha": 0.5, "p": 2.0, "grid": g}
+    capacity._unit_solve.cache_clear()
+    estimate_capacity(**base)
+    grids = _grids_convolved_on(monkeypatch)
+    est = estimate_capacity(**change(base))
+    unit = Grid(2, 16.0, 32)
+    assert grids.count(unit) > est.iterations
+
+
+def test_a_budget_that_runs_out_is_not_remembered(monkeypatch):
+    g = Grid(2, 4.0, 32)
+    mask = ball_mask(g, np.zeros(2), 1.0)
+    capacity._unit_solve.cache_clear()
+    messages = []
+    for _ in range(2):
+        grids = _grids_convolved_on(monkeypatch)
+        with pytest.raises(NotConverged, match=r"after 3 iterations") as exc:
+            estimate_capacity(mask, 0.5, 2.0, g, max_iter=3)
+        assert grids.count(Grid(2, 16.0, 32)) > 3
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_mutating_a_returned_candidate_leaves_later_estimates_alone():
+    g = Grid(2, 4.0, 32)
+    mask = ball_mask(g, np.zeros(2), 1.0)
+    est = estimate_capacity(mask, 0.5, 2.0, g)
+    kept = est.candidate.values.copy()
+    est.candidate.values[...] = 0.0
+    again = estimate_capacity(mask, 0.5, 2.0, g)
+    assert np.array_equal(again.candidate.values, kept)
+    assert again.value == est.value
 
 
 def test_estimate_rejects_a_lower_bound_above_its_value(unit_ball_estimate):

@@ -446,11 +446,16 @@ def test_verify_rejects_a_stored_atom_without_a_weight(solved, tmp_path, capsys)
         ("u.field.json", {"n": 2.0, "N": 128, "L": 8.0}, 5),
         ("u.field.json", {"n": 2, "N": 128, "L": "8"}, 5),
         ("u.field.json", 5, 5),
+        ("u.field.json", {"n": 2, "N": 1, "L": 8.0}, 5),
+        ("u.field.json", {"n": 2, "N": 128, "L": -8.0}, 5),
+        ("u.field.json", {"n": 0, "N": 128, "L": 8.0}, 5),
     ],
-    ids=["string-amplitude", "string-N", "float-n", "string-L", "bare-number"],
+    ids=["string-amplitude", "string-N", "float-n", "string-L", "bare-number",
+         "one-cell", "negative-L", "zero-n"],
 )
 def test_verify_rejects_a_malformed_stored_input(solved, tmp_path, capsys, name, content, code):
-    # neither parsed from a string, truncated, nor a traceback
+    # neither parsed from a string, truncated, nor a traceback; a bad
+    # sidecar, impossible grids included, is named in the message
     cfg, out = solved
     fields = tmp_path / "fields"
     fields.mkdir()
@@ -459,7 +464,9 @@ def test_verify_rejects_a_malformed_stored_input(solved, tmp_path, capsys, name,
     (fields / "measure.json").write_bytes((out / "measure.json").read_bytes())
     (fields / name).write_text(json.dumps(content))
     assert main(["verify", "--config", str(cfg), "--fields", str(fields)]) == code
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert code != 5 or str(fields / name) in err
     assert not (fields / "verify_report.json").exists()
 
 
@@ -471,6 +478,22 @@ def test_diagnostics_writes_report(solved):
     assert report["marcinkiewicz"]["u"] > 0.0
     assert report["positivity"]["lower_bound_ok"] is True
     assert (out / "annulus.csv").read_text().startswith("radius,u")
+
+
+def test_annulus_csv_has_the_bytes_of_per_row_formatting(tmp_path):
+    # off-centre, so that cells at one radius carry different values of u
+    cfg = _write_config(tmp_path / "run.json", grid={"L": 8.0, "N": 32}, measure={
+        "kind": "uniform_ball", "ball": {"center": [0.3, -0.2], "radius": 1.0},
+        "support_radius": 1.5})
+    out = tmp_path / "out"
+    main(["solve", "--config", str(cfg), "--out", str(out), "--auto-scale"])
+    assert main(["diagnostics", "--config", str(cfg), "--fields", str(out)]) == 0
+    u = read_field(out / "u.field")
+    radii = u.grid.radii()
+    ring = (radii >= 0.6 * u.grid.L) & (radii <= 0.8 * u.grid.L)
+    rows = zip(radii[ring].tolist(), u.values[ring].tolist())
+    expected = "\n".join(["radius,u"] + [f"{r},{v}" for r, v in rows]) + "\n"
+    assert (out / "annulus.csv").read_text() == expected
 
 
 def test_wolff_reports_pinned_ratio(solved, capsys):
