@@ -31,7 +31,7 @@ from .capacity import (
     wolff_ratio,
 )
 from .core import Grid, GridField, Measure, Parameters, VectorGridField
-from .diagnostics import diagnostics_report
+from .diagnostics import DECAY_RING, diagnostics_report
 from .errors import (
     ConfigError,
     Diverged,
@@ -43,6 +43,7 @@ from .io import (
     dump_report,
     measure_from_dict,
     read_field,
+    read_json,
     read_measure,
     read_object,
     write_field,
@@ -78,10 +79,7 @@ _EXIT_CODES = ((NotAdmissible, 2), (Diverged, 3), (GridMismatch, 5), (OSError, 4
 
 def _read_config(path: Path | str) -> tuple[dict, dict]:
     """A config file's JSON object as written, and as read against _CONFIG."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    raw = read_json(path)
     config = read_object(raw, _CONFIG, "config")
     if config["version"] != 1:
         raise ConfigError("config version must be 1")
@@ -244,14 +242,13 @@ def cmd_capacity(args) -> int:
         return 0
 
     grid = Grid(n=args.n, L=4.0 if args.L is None else args.L, N=args.N)
-    spec = None if args.mask_file is None else json.loads(Path(args.mask_file).read_text())
+    spec = None if args.mask_file is None else read_json(args.mask_file)
     if isinstance(spec, list):
-        cells = np.asarray(spec)
-        ok = cells.ndim == 2 and cells.shape[1] == grid.n and cells.dtype.kind == "i"
-        if not (ok and cells.min() >= 0 and cells.max() < grid.N):
+        cells = read_object(spec, [[int]], "mask file")
+        if any(len(cell) != grid.n or not all(0 <= i < grid.N for i in cell) for cell in cells):
             raise ConfigError(f"mask entries must be {grid.n} integers in [0, {grid.N})")
         mask = np.zeros(grid.shape, dtype=bool)
-        mask[tuple(cells.T)] = True
+        mask[tuple(np.array(cells).T)] = True
         est = estimate_capacity(mask, args.alpha, args.p, grid)
     else:
         if spec is None:
@@ -285,7 +282,8 @@ def cmd_diagnostics(args) -> int:
     outdir = _outdir(args.out or args.fields)
     dump_report(report, outdir / "diagnostics.json")
     radii = sc.grid.radii()
-    ring = (radii >= 0.6 * sc.grid.L) & (radii <= 0.8 * sc.grid.L)
+    inner, outer = (f * sc.grid.L for f in DECAY_RING)
+    ring = (radii >= inner) & (radii <= outer)
     # the ring's rows share few radii (15,577 of 230,612 at n=2, N=1024), so
     # each distinct radius is formatted once
     radius, which = np.unique(radii[ring], return_inverse=True)

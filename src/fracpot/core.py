@@ -117,9 +117,9 @@ class Grid:
             raise GridMismatch(f"{x0.size}-D point on a {self.n}-D grid")
         return [c - x0[i] for i, c in enumerate(self.coords(block))]
 
-    def dist2(self, x0, block: tuple[slice, ...] | None = None) -> np.ndarray:
-        """Squared distance from x0 of every cell center, or of a block's."""
-        return squared_norm(self.offsets(x0, block))
+    def dist2(self, x0) -> np.ndarray:
+        """Squared distance from x0 of every cell center."""
+        return squared_norm(self.offsets(x0))
 
     def radii(self) -> np.ndarray:
         """Distance of every cell center from the origin, grid-shaped."""

@@ -70,15 +70,16 @@ class DecayFit:
     rmse: float
 
 
-def decay_fit(u: GridField, omega: Measure, params: Parameters) -> DecayFit:
-    """Least-squares power law of u over the annulus [0.6 L, 0.8 L].
+# the annulus decay_fit fits, in units of the box half-width L; the outer 10
+# percent of the box stays outside it, so truncation effects of density-path
+# fields do not reach the fit
+DECAY_RING = (0.6, 0.8)
 
-    The outer 10 percent of the box is excluded up front (ring_outer = 0.8 L),
-    so truncation effects of density-path fields stay outside the fit window.
-    """
+
+def decay_fit(u: GridField, omega: Measure, params: Parameters) -> DecayFit:
+    """Least-squares power law of u over the annulus DECAY_RING, [0.6 L, 0.8 L]."""
     grid = u.grid
-    inner = 0.6 * grid.L
-    outer = 0.8 * grid.L
+    inner, outer = (f * grid.L for f in DECAY_RING)
     if omega.support_radius >= inner:
         raise AnnulusEmpty("measure support reaches into the fitting annulus")
     radii = grid.radii()

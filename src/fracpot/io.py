@@ -3,6 +3,8 @@
 A field file is raw little-endian float64 in row-major order; its sidecar
 (<name>.json) records {"n", "N", "L"}.  Reports are serialised with sorted
 keys and no timestamps so repeated runs produce byte-identical files.
+Every JSON file the program reads is parsed by read_json and checked by
+read_object.
 """
 
 from __future__ import annotations
@@ -31,16 +33,37 @@ def write_field(field: GridField, path: Path | str) -> None:
 _JSON_TYPES = {int: "integer", float: "number", str: "string", list: "list", dict: "object"}
 
 
-def read_object(value, schema: dict, where: str, error: type = ConfigError) -> dict:
-    """A JSON object from outside the program, checked against schema, with defaults filled in.
+def read_json(path: Path | str, error: type = ConfigError):
+    """The JSON document in a file.
 
-    schema maps each allowed key to the spec of its value: float (any JSON
-    number, returned as a float), int, str, list or dict (that JSON type;
-    a bool is never a number), a schema dict (a nested object), or [spec]
-    (a non-empty list of values of that spec).  A (spec, default) pair makes
-    the key optional.  A non-object, an unknown or missing key and a value
-    of another type raise error, naming where the value sits.
+    Text that is not JSON raises error, naming the file; a file that cannot
+    be read raises its OSError, so every unreadable input meets one rule.
     """
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise error(f"{path} is not valid JSON: {exc}") from exc
+
+
+def read_object(value, schema: dict | list, where: str, error: type = ConfigError):
+    """A JSON value from outside the program, checked against schema, with defaults filled in.
+
+    schema is a spec: float (any JSON number, returned as a float), int,
+    str, list or dict (that JSON type; a bool is never a number), a dict of
+    key -> spec (a JSON object with those keys), or [spec] (a non-empty list
+    of values of that spec).  In an object, a (spec, default) pair makes the
+    key optional.  A value of another type and an unknown or missing key
+    raise error, naming where the value sits.
+    """
+    if isinstance(schema, list):
+        if not isinstance(value, list) or not value:
+            raise error(f"{where} must be a non-empty JSON list, not {value!r}")
+        return [read_object(v, schema[0], f"{where}[{i}]", error) for i, v in enumerate(value)]
+    if not isinstance(schema, dict):
+        kind = (int, float) if schema is float else schema
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise error(f"{where} must be a JSON {_JSON_TYPES[schema]}, not {value!r}")
+        return float(value) if schema is float else value
     if not isinstance(value, dict):
         raise error(f"{where} must be a JSON object, not {value!r}")
     unknown = set(value) - set(schema)
@@ -50,7 +73,7 @@ def read_object(value, schema: dict, where: str, error: type = ConfigError) -> d
     for key, spec in schema.items():
         optional = isinstance(spec, tuple)
         if key in value:
-            out[key] = _read_value(value[key], spec[0] if optional else spec, f"{where}.{key}", error)
+            out[key] = read_object(value[key], spec[0] if optional else spec, f"{where}.{key}", error)
         elif optional:
             out[key] = spec[1]
         else:
@@ -58,34 +81,18 @@ def read_object(value, schema: dict, where: str, error: type = ConfigError) -> d
     return out
 
 
-def _read_value(value, spec, where: str, error: type):
-    if isinstance(spec, dict):
-        return read_object(value, spec, where, error)
-    if isinstance(spec, list):
-        if not isinstance(value, list) or not value:
-            raise error(f"{where} must be a non-empty JSON list, not {value!r}")
-        return [_read_value(v, spec[0], f"{where}[{i}]", error) for i, v in enumerate(value)]
-    if isinstance(value, bool) or not isinstance(value, (int, float) if spec is float else spec):
-        raise error(f"{where} must be a JSON {_JSON_TYPES[spec]}, not {value!r}")
-    return float(value) if spec is float else value
-
-
 _SIDECAR = {"n": int, "N": int, "L": float}
 
 
 def read_field(path: Path | str) -> GridField:
     path = Path(path)
+    sidecar = sidecar_path(path)
+    where = f"sidecar {sidecar}"
     try:
-        meta = json.loads(sidecar_path(path).read_text())
-        raw = path.read_bytes()
-    except FileNotFoundError as exc:
-        raise ConfigError(f"missing field file or sidecar: {exc}") from exc
-    where = f"sidecar {sidecar_path(path)}"
-    try:
-        grid = Grid(**read_object(meta, _SIDECAR, where, GridMismatch))
+        grid = Grid(**read_object(read_json(sidecar, GridMismatch), _SIDECAR, where, GridMismatch))
     except ValueError as exc:
         raise GridMismatch(f"{where}: {exc}") from exc
-    values = np.frombuffer(raw, dtype="<f8")
+    values = np.frombuffer(path.read_bytes(), dtype="<f8")
     if values.size != grid.size:
         raise GridMismatch(
             f"field file holds {values.size} values, sidecar promises {grid.size}"
@@ -161,13 +168,7 @@ def write_measure(measure: Measure, path: Path | str) -> None:
 
 def read_measure(path: Path | str) -> Measure:
     path = Path(path)
-    try:
-        spec = json.loads(path.read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"measure file {path} is not valid JSON: {exc}") from exc
-    return measure_from_dict(spec, base_dir=path.parent)
+    return measure_from_dict(read_json(path), base_dir=path.parent)
 
 
 def dump_report(report: dict, path: Path | str) -> None:

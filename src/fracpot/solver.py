@@ -100,11 +100,6 @@ def constants_ledger(params: Parameters, theta: float) -> ConstantsLedger:
     )
 
 
-def _check_value(check: str, key: str, default) -> property:
-    """Read-only view of one value of a report's run_checks pass."""
-    return property(lambda self: self.checks.get(check, {}).get(key, default))
-
-
 @dataclass
 class SolveReport:
     """Iteration history and the one run_checks pass on the final fields."""
@@ -121,12 +116,6 @@ class SolveReport:
     checks_ok: bool = False
     admissibility: dict = field(default_factory=dict)
     ledger: dict = field(default_factory=dict)
-
-    # views of checks, never recomputed; to_dict serialises checks alone
-    representation_residual = _check_value("representation", "residual", float("nan"))
-    sandwich_lower_ok = _check_value("sandwich", "lower_ok", False)
-    sandwich_upper = _check_value("sandwich", "upper", float("nan"))
-    weak_residuals = _check_value("weak", "residuals", ())
 
     def to_dict(self) -> dict:
         out = asdict(self)

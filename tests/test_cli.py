@@ -449,24 +449,50 @@ def test_verify_rejects_a_stored_atom_without_a_weight(solved, tmp_path, capsys)
         ("u.field.json", {"n": 2, "N": 1, "L": 8.0}, 5),
         ("u.field.json", {"n": 2, "N": 128, "L": -8.0}, 5),
         ("u.field.json", {"n": 0, "N": 128, "L": 8.0}, 5),
+        ("u.field.json", '{"n": 2, "N": 128', 5),
     ],
     ids=["string-amplitude", "string-N", "float-n", "string-L", "bare-number",
-         "one-cell", "negative-L", "zero-n"],
+         "one-cell", "negative-L", "zero-n", "not-json"],
 )
 def test_verify_rejects_a_malformed_stored_input(solved, tmp_path, capsys, name, content, code):
     # neither parsed from a string, truncated, nor a traceback; a bad
-    # sidecar, impossible grids included, is named in the message
+    # sidecar, impossible grids and text that is not JSON included, is
+    # named in the message.  A str content is the file's text as it stands
     cfg, out = solved
     fields = tmp_path / "fields"
     fields.mkdir()
     for path in out.glob("*.field*"):
         (fields / path.name).write_bytes(path.read_bytes())
     (fields / "measure.json").write_bytes((out / "measure.json").read_bytes())
-    (fields / name).write_text(json.dumps(content))
+    (fields / name).write_text(content if isinstance(content, str) else json.dumps(content))
     assert main(["verify", "--config", str(cfg), "--fields", str(fields)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert code != 5 or str(fields / name) in err
+    assert not (fields / "verify_report.json").exists()
+
+
+_DENSITY = {"kind": "density", "density_file": "omega.density.field", "support_radius": 1.0}
+
+
+@pytest.mark.parametrize(
+    "missing, measure",
+    [("grad_u1.field", None), ("u.field.json", None), ("omega.density.field.json", _DENSITY)],
+    ids=["field", "sidecar", "density-file"],
+)
+def test_verify_a_missing_stored_input_is_an_io_error(solved, tmp_path, capsys, missing, measure):
+    # exit 4, the code of a missing config, and the message names the file;
+    # a measure of None is the stored measure.json
+    cfg, out = solved
+    fields = tmp_path / "fields"
+    fields.mkdir()
+    for path in out.glob("*.field*"):
+        if path.name != missing:
+            (fields / path.name).write_bytes(path.read_bytes())
+    stored = (out / "measure.json").read_text()
+    (fields / "measure.json").write_text(stored if measure is None else json.dumps(measure))
+    assert main(["verify", "--config", str(cfg), "--fields", str(fields)]) == 4
+    assert str(fields / missing) in capsys.readouterr().err
     assert not (fields / "verify_report.json").exists()
 
 
@@ -633,9 +659,10 @@ def test_capacity_sweep_needs_two_distinct_radii(capsys, radii):
     assert "two distinct radii" in captured.err
 
 
-@pytest.mark.parametrize("cell", [[-1, -1], [16, 0]])
+@pytest.mark.parametrize("cell", [[-1, -1], [16, 0], [True, 2]])
 def test_capacity_mask_cells_must_lie_on_the_grid(tmp_path, capsys, cell):
-    # neither wrapped around (-1 is not cell 15) nor out of range
+    # neither wrapped around (-1 is not cell 15), out of range, nor a bool
+    # read as an index
     mask = tmp_path / "mask.json"
     mask.write_text(json.dumps([cell]))
     rc = main(
@@ -643,3 +670,19 @@ def test_capacity_mask_cells_must_lie_on_the_grid(tmp_path, capsys, cell):
     )
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[[1, 2], [3]]", "mask entries must be 2 integers in [0, 16)"),
+     ("[[7, 7],", "error: {mask} is not valid JSON")],
+    ids=["ragged", "not-json"],
+)
+def test_capacity_mask_file_error_says_what_is_wrong(tmp_path, capsys, text, message):
+    mask = tmp_path / "mask.json"
+    mask.write_text(text)
+    rc = main(
+        ["capacity", "--alpha", "0.5", "--p", "2.0", "--N", "16", "--mask-file", str(mask)]
+    )
+    assert rc == 1
+    assert message.format(mask=mask) in capsys.readouterr().err

@@ -97,3 +97,28 @@ def test_every_global_name_is_defined(path):
     defined = {s.get_name() for s in module.get_symbols() if s.is_assigned() or s.is_imported()}
     undefined = _global_references(module) - defined - set(dir(builtins))
     assert not undefined, f"{path.name} refers to undefined globals {sorted(undefined)}"
+
+
+def _json_parsers(tree: ast.Module) -> set[str]:
+    """The json.load and json.loads a module reads, as an attribute or by import."""
+    parsers = {"load", "loads"}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in parsers:
+            if isinstance(node.value, ast.Name) and node.value.id == "json":
+                names.add(f"json.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            names.update(f"json.{a.name}" for a in node.names if a.name in parsers)
+    return names
+
+
+def test_only_io_parses_json():
+    # every input file is parsed by io.read_json, so a missing or malformed
+    # file meets one rule wherever it is read
+    parsers = {
+        f"{module}:{name}"
+        for module, tree in TREES.items()
+        if module != "io.py"
+        for name in _json_parsers(tree)
+    }
+    assert not parsers, f"JSON parsed outside io.read_json: {sorted(parsers)}"

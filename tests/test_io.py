@@ -1,6 +1,7 @@
 """Field and measure serialization round-trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from fracpot.io import (
     measure_from_dict,
     measure_to_dict,
     read_field,
+    read_json,
     read_measure,
+    read_object,
     write_field,
     write_measure,
 )
@@ -102,3 +105,21 @@ def test_measure_dict_rejects_unknown_keys():
 def test_measure_dict_rejects_unknown_kind():
     with pytest.raises(ConfigError):
         measure_from_dict({"kind": "fractal", "support_radius": 1.0})
+
+
+def test_read_json_names_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "doc.json"
+    for data in (b"{", b"\xff"):  # not JSON, and not even UTF-8
+        path.write_bytes(data)
+        with pytest.raises(GridMismatch, match=re.escape(f"{path} is not valid JSON")):
+            read_json(path, GridMismatch)
+    # an unreadable file is left to its OSError
+    with pytest.raises(FileNotFoundError):
+        read_json(tmp_path / "absent.json")
+
+
+def test_read_object_takes_a_list_spec_at_the_top_level():
+    assert read_object([[1, 2], [3]], [[int]], "cells") == [[1, 2], [3]]
+    for value, where in (([[1, True]], "cells[0][1]"), ([], "cells"), ([[]], "cells[0]")):
+        with pytest.raises(ConfigError, match=f"^{re.escape(where)} must be"):
+            read_object(value, [[int]], "cells")

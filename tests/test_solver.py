@@ -109,7 +109,7 @@ def test_reference_solve_converges_fast(reference_run):
 
 def test_reference_solve_representation_identity(reference_run):
     # u = I_2s(|grad u|^q) + I_2s(omega) holds to solver tolerance
-    assert reference_run["report"].representation_residual <= 1e-6
+    assert reference_run["report"].checks["representation"]["residual"] <= 1e-6
     params = reference_run["params"]
     u0 = riesz_potential_measure(
         reference_run["omega"], 2.0 * params.s, reference_run["grid"]
@@ -121,14 +121,14 @@ def test_reference_solve_representation_identity(reference_run):
 
 
 def test_reference_solve_sandwich(reference_run):
-    rep = reference_run["report"]
-    assert rep.sandwich_lower_ok
-    assert 1.0 <= rep.sandwich_upper <= 1.05
+    sandwich = reference_run["report"].checks["sandwich"]
+    assert sandwich["lower_ok"]
+    assert 1.0 <= sandwich["upper"] <= 1.05
     u0 = riesz_potential_measure(
         reference_run["omega"], 2.0 * reference_run["params"].s, reference_run["grid"]
     )
     lower_ok, upper = sandwich_check(reference_run["u"], u0)
-    assert lower_ok and upper == pytest.approx(rep.sandwich_upper, rel=1e-12)
+    assert lower_ok and upper == pytest.approx(sandwich["upper"], rel=1e-12)
 
 
 def test_reference_solve_gradient_uniformly_bounded(reference_run):
@@ -138,9 +138,9 @@ def test_reference_solve_gradient_uniformly_bounded(reference_run):
 
 
 def test_reference_solve_weak_residuals(reference_run):
-    rep = reference_run["report"]
-    assert len(rep.weak_residuals) == 5
-    assert all(w <= 1e-2 for w in rep.weak_residuals)
+    residuals = reference_run["report"].checks["weak"]["residuals"]
+    assert len(residuals) == 5
+    assert all(w <= 1e-2 for w in residuals)
 
 
 def test_reference_solve_admissibility_recorded(reference_run):
