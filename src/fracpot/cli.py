@@ -113,6 +113,10 @@ def load_scenario(path: Path | str, theta: float | None = None) -> Scenario:
     N = c["grid"]["N"]
     if N <= 0 or N & (N - 1) != 0:
         raise ConfigError(f"N={N} is not a power of two")
+    if c["tol"] < 0.0:
+        raise ConfigError(f"config.tol must be at least 0, not {c['tol']}")
+    if c["max_iter"] < 1:
+        raise ConfigError(f"config.max_iter must be at least 1, not {c['max_iter']}")
     grid = Grid(n=params.n, **c["grid"])
     measure = measure_from_dict(c["measure"], base_dir=Path(path).parent)
     _check_measure(measure, params, grid)

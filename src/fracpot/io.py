@@ -10,6 +10,7 @@ read_object.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -48,10 +49,11 @@ def read_json(path: Path | str, error: type = ConfigError):
 def read_object(value, schema: dict | list, where: str, error: type = ConfigError):
     """A JSON value from outside the program, checked against schema, with defaults filled in.
 
-    schema is a spec: float (any JSON number, returned as a float), int,
-    str, list or dict (that JSON type; a bool is never a number), a dict of
-    key -> spec (a JSON object with those keys), or [spec] (a non-empty list
-    of values of that spec).  In an object, a (spec, default) pair makes the
+    schema is a spec: float (any finite JSON number, returned as a float;
+    json.loads also reads NaN and Infinity, which are refused), int, str,
+    list or dict (that JSON type; a bool is never a number), a dict of key
+    -> spec (a JSON object with those keys), or [spec] (a non-empty list of
+    values of that spec).  In an object, a (spec, default) pair makes the
     key optional.  A value of another type and an unknown or missing key
     raise error, naming where the value sits.
     """
@@ -63,7 +65,12 @@ def read_object(value, schema: dict | list, where: str, error: type = ConfigErro
         kind = (int, float) if schema is float else schema
         if isinstance(value, bool) or not isinstance(value, kind):
             raise error(f"{where} must be a JSON {_JSON_TYPES[schema]}, not {value!r}")
-        return float(value) if schema is float else value
+        if schema is not float:
+            return value
+        # false for NaN, the infinities and an integer no float can hold
+        if not abs(value) <= sys.float_info.max:
+            raise error(f"{where} must be a finite JSON number, not {value!r}")
+        return float(value)
     if not isinstance(value, dict):
         raise error(f"{where} must be a JSON object, not {value!r}")
     unknown = set(value) - set(schema)

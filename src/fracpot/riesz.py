@@ -29,8 +29,12 @@ values on the octant of frequencies 0..N: it is built there by a DCT-I (a
 DST-I along the odd axis of a gradient component), cached as one real
 (N+1)^n array, and mirrored over the spectrum when it multiplies.  I_2s and
 its gradient share one forward transform, or one pass over the atoms.
-Every transform equals scipy.fft's bit for bit.  Large transforms split
-their lines over every available CPU (fft_workers changes the count), which
+The padded spectrum is never held whole: after the last-axis rfft, its
+columns stream in cache-sized slabs through the leading-axis transforms,
+the products with the hats and the inverses, and only half-size spectra,
+one per kernel, wait for the last-axis irfft.  Every transform equals
+scipy.fft's bit for bit.  Large transforms split their slabs and row
+blocks over every available CPU (fft_workers changes the count), which
 never changes a result.
 
 Differentiating |x - y|^(2s - n) gives the vector kernel
@@ -237,12 +241,21 @@ def atom_quadrature_correction(
 # cached per (grid, alpha/s, kind).  numpy >= 2.0 runs the pocketfft library
 # that scipy.fft runs, and every pass below hands it the lines, the axis
 # order and the scaling scipy.fft would, so each result equals scipy.fft's
-# bit for bit.
+# bit for bit.  One pipeline, _filtered, runs every transform: the rfft of
+# the data lines, then slabs of last-axis frequency columns through
+# per-worker scratch, then the irfft in row blocks.
 
-# Transforms of at least this many padded points split their lines over
-# every worker; smaller ones run on one, where handing out work costs more
-# than it saves.
+# Transforms of at least this many padded points split their slabs and
+# blocks over every worker; a smaller one is one slab and one block on one
+# worker, where handing out work costs more than it saves.
 _PARALLEL_MIN_POINTS = 2**20
+
+# Lines a hat transform extends and transforms at a time, and the bytes of
+# one slab of spectrum columns or one block of result rows a convolution
+# transforms at a time above _PARALLEL_MIN_POINTS, so that each worker's
+# scratch stays in cache.
+_HAT_CHUNK_LINES = 64
+_SLAB_BYTES = 2**21
 
 FFT_BACKEND = f"numpy.fft (pocketfft), numpy {np.__version__}"
 
@@ -287,64 +300,123 @@ def _thread_pool(workers: int):
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="fracpot-fft")
 
 
-def _over_lines(task, shape: tuple[int, ...], axis: int, points: int) -> None:
-    """task(block) over the lines along axis of an array of shape, in blocks.
+def _in_chunks(work, count: int, step: int, points: int) -> None:
+    """work(run) for runs of the chunks [a, b) of range(count), each step long but the last.
 
-    The lines of a transform of fewer than _PARALLEL_MIN_POINTS (padded)
-    points are one block; a larger transform is cut across another axis into
-    one block per worker, and numpy.fft releases the GIL, so the blocks run
-    in parallel.  Each line is transformed whole either way, so the cut
-    never changes a bit.
+    A transform of fewer than _PARALLEL_MIN_POINTS (padded) points hands
+    every chunk to one worker; a larger one gives each worker one contiguous
+    run of them, and numpy.fft and numpy's arithmetic release the GIL, so the
+    runs go in parallel.  Each line is transformed whole either way, so the
+    split never changes a bit.
     """
-    across = 1 if axis == 0 else 0
-    w = min(_workers(points), shape[across]) if len(shape) > 1 else 1
+    chunks = [(a, min(a + step, count)) for a in range(0, count, step)]
+    w = min(_workers(points), len(chunks))
     if w == 1:
-        task(...)
+        work(chunks)
         return
-    cuts = [shape[across] * k // w for k in range(w + 1)]
-    blocks = [(slice(None),) * across + (slice(a, b),) for a, b in zip(cuts, cuts[1:])]
-    for done in [_thread_pool(w).submit(task, block) for block in blocks]:
+    runs = [chunks[len(chunks) * k // w : len(chunks) * (k + 1) // w] for k in range(w)]
+    for done in [_thread_pool(w).submit(work, run) for run in runs]:
         done.result()
 
 
-def _transform(fn, a: np.ndarray, out: np.ndarray, axis: int, points: int, **kw) -> None:
-    """The numpy.fft pass fn(a, axis=axis, **kw), written into out (which may be a)."""
-    _over_lines(lambda b: fn(a[b], axis=axis, out=out[b], **kw), a.shape, axis, points)
+def _pad_forward(src: np.ndarray, slab: np.ndarray, crop: tuple[int, ...]) -> None:
+    """slab = the transform along the leading axes of src, zero-padded to slab's shape.
 
-
-def _rfftn_padded(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """rfftn of values zero-padded to shape.
-
-    The rfft rows land in a zeroed padded buffer and each further axis is
-    transformed in place on the lines that hold data only, so no all-zero
-    line is transformed.  The passes run in pocketfft's n-D order: the last
-    axis first, the others in increasing order.
+    src lands in the zeroed slab and each pass runs in place on the lines
+    that hold data only, in pocketfft's n-D order: increasing axis order
+    after the last axis.  (Padding in the fft call itself, with n=, took
+    about 1.5 times as long in a micro-benchmark.)
     """
-    n, points = values.ndim, math.prod(shape)
-    data = tuple(slice(0, m) for m in values.shape)
-    out = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
-    _transform(np.fft.rfft, values, out[data[:-1]], n - 1, points, n=shape[-1])
-    for ax in range(n - 1):
-        live = out[(slice(None),) * (ax + 1) + data[ax + 1 : -1]]
-        _transform(np.fft.fft, live, live, ax, points)
-    return out
+    data = tuple(slice(0, m) for m in crop[:-1])
+    for ax in range(slab.ndim - 1):
+        slab[data[:ax] + (slice(crop[ax], None),)] = 0.0
+    slab[data] = src
+    for ax in range(slab.ndim - 1):
+        live = slab[(slice(None),) * (ax + 1) + data[ax + 1 :]]
+        np.fft.fft(live, axis=ax, out=live)
 
 
-def _irfftn_cropped(spec: np.ndarray, shape: tuple[int, ...], crop: tuple[int, ...],
-                    norm: str | None = None) -> np.ndarray:
-    """The first crop points per axis of irfftn(spec, s=shape, norm=norm).
+def _inverse_crop(slab: np.ndarray, crop: tuple[int, ...], norm: str | None) -> np.ndarray:
+    """The first crop points of slab's inverse transform along each leading axis.
 
-    Each leading axis is cropped right after its inverse transform, so later
-    transforms skip the lines the result discards; the last axis goes last,
-    as in pocketfft.  spec is overwritten.
+    Each axis is cropped right after its inverse, so later passes skip the
+    lines the result discards.  slab is overwritten.
     """
-    n, points = spec.ndim, math.prod(shape)
-    for ax in range(n - 1):
-        _transform(np.fft.ifft, spec, spec, ax, points, norm=norm)
-        spec = spec[(slice(None),) * ax + (slice(0, crop[ax]),)]
-    out = np.empty(spec.shape[:-1] + (shape[-1],))
-    _transform(np.fft.irfft, spec, out, n - 1, points, n=shape[-1], norm=norm)
-    return out[..., : crop[-1]]
+    for ax in range(slab.ndim - 1):
+        np.fft.ifft(slab, axis=ax, out=slab, norm=norm)
+        slab = slab[(slice(None),) * ax + (slice(0, crop[ax]),)]
+    return slab
+
+
+def _filtered(values: np.ndarray, padded: tuple[int, ...], products: list, scale: float,
+              norm: str | None = None) -> list[np.ndarray]:
+    """Per product, scale * irfftn(product(rfftn(values, s=padded)), s=padded, norm=norm), cropped.
+
+    The crop keeps the first values.shape points.  product(slab, cols, out)
+    writes into out the slab, which holds the spectrum's last-axis
+    frequencies cols, times the multiplier's columns cols; out may be the
+    slab itself.
+
+    The rfft of the data lines fills a half-size spectrum of values.shape[:-1]
+    + (padded[-1] // 2 + 1,) points.  Its columns then pass in slabs through
+    scratch: padded and transformed along the leading axes, multiplied by
+    each product, transformed back and cropped into one half-size spectrum
+    per product, the last of which overwrites the input's.  Last, the irfft
+    runs in row blocks straight into the scaled results, each spectrum freed
+    once its result is written.  Each line goes through the numpy.fft call
+    and the axis order of irfftn(rfftn), so the slabs change no bit.  Above
+    _PARALLEL_MIN_POINTS a slab or block holds about _SLAB_BYTES and the
+    workers share them; below, it is the whole spectrum on one worker.
+    """
+    crop, points = values.shape, math.prod(padded)
+    lead, cols = padded[:-1], padded[-1] // 2 + 1
+    rows = math.prod(crop[:-1])
+
+    def step(count: int, item_bytes: int) -> int:
+        return count if points < _PARALLEL_MIN_POINTS else max(1, _SLAB_BYTES // item_bytes)
+
+    spectra = [np.empty(crop[:-1] + (cols,), dtype=complex) for _ in products]
+    source = spectra[-1]
+    lines, source_rows = values.reshape(rows, crop[-1]), source.reshape(rows, cols)
+
+    def forward(run):
+        for a, b in run:
+            np.fft.rfft(lines[a:b], n=padded[-1], axis=-1, out=source_rows[a:b])
+
+    _in_chunks(forward, rows, step(rows, 16 * cols), points)
+    width = step(cols, 16 * math.prod(lead))
+
+    def slabs(run):
+        scratch = np.empty(lead + (width,), dtype=complex)
+        spare = np.empty_like(scratch) if len(products) > 1 else None
+        for a, b in run:
+            slab = scratch[..., : b - a]
+            _pad_forward(source[..., a:b], slab, crop)
+            for product, spectrum in zip(products, spectra):
+                out = slab if spectrum is source else spare[..., : b - a]
+                product(slab, slice(a, b), out)
+                spectrum[..., a:b] = _inverse_crop(out, crop, norm)
+
+    _in_chunks(slabs, cols, width, points)
+    # from here only spectra holds them, so each goes once its result is written
+    del source, source_rows
+    block = step(rows, 8 * padded[-1])
+
+    def inverse(spectrum: np.ndarray) -> np.ndarray:
+        out = np.empty(crop)
+        spectrum_rows, out_rows = spectrum.reshape(rows, cols), out.reshape(rows, crop[-1])
+
+        def work(run):
+            scratch = np.empty((block, padded[-1]))
+            for a, b in run:
+                line = scratch[: b - a]
+                np.fft.irfft(spectrum_rows[a:b], n=padded[-1], axis=-1, out=line, norm=norm)
+                np.multiply(line[:, : crop[-1]], scale, out=out_rows[a:b])
+
+        _in_chunks(work, rows, block, points)
+        return out
+
+    return [inverse(spectra.pop(0)) for _ in products]
 
 
 def fourier_multiplier(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
@@ -354,16 +426,12 @@ def fourier_multiplier(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     rounded from long double, as pocketfft applies it to an n-D transform;
     numpy's rfftn/irfftn order and scale the axes otherwise.
     """
-    spec = _rfftn_padded(values, values.shape)
-    spec *= symbol
-    out = _irfftn_cropped(spec, values.shape, values.shape, norm="forward")
-    out *= float(1 / np.longdouble(values.size))
-    return out
 
+    def product(slab, cols, out):
+        np.multiply(slab, symbol[..., cols], out=out)
 
-# Lines a hat transform extends and transforms at a time, so that its
-# scratch stays in cache.
-_HAT_CHUNK_LINES = 64
+    scale = float(1 / np.longdouble(values.size))
+    return _filtered(values, values.shape, [product], scale, norm="forward")[0]
 
 
 def _real_line_transform(hat: np.ndarray, axis: int, odd: bool, points: int) -> None:
@@ -380,13 +448,12 @@ def _real_line_transform(hat: np.ndarray, axis: int, odd: bool, points: int) -> 
     h = np.moveaxis(hat, axis, 0)[..., None]
     step = max(1, _HAT_CHUNK_LINES // math.prod(h.shape[2:]))
 
-    def task(block):
-        lines = h[block]
+    def work(run):
         ext = np.empty((2 * N, step) + h.shape[2:])
         spec = np.empty((N + 1, step) + h.shape[2:], dtype=complex)
-        for j in range(0, lines.shape[1], step):
-            chunk = lines[:, j : j + step]
-            e, s = ext[:, : chunk.shape[1]], spec[:, : chunk.shape[1]]
+        for a, b in run:
+            chunk = h[:, a:b]
+            e, s = ext[:, : b - a], spec[:, : b - a]
             if odd:
                 e[0] = e[N] = 0.0
                 e[1:N] = chunk[1:N]
@@ -400,7 +467,7 @@ def _real_line_transform(hat: np.ndarray, axis: int, odd: bool, points: int) -> 
             else:
                 chunk[...] = s.real
 
-    _over_lines(task, h.shape, 0, points)
+    _in_chunks(work, h.shape[1], step, points)
 
 
 def _regularised_r2(grid: Grid, offsets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -454,7 +521,7 @@ def _kernel_hats(grid: Grid, order: float, family) -> list[tuple[np.ndarray, int
     of offsets 0..N; a kernel odd in axis i has -i times the DST-I along
     axis i (0 at frequencies 0 and N) of the DCT-I along the others.  So each
     hat is cached as that one real (N+1)^n array, per grid, order and
-    family, and _apply_hat mirrors it over the rest of the spectrum.
+    family, and _hat_product mirrors it over the rest of the spectrum.
     """
     n, N = grid.n, grid.N
     # component i of the gradient is odd in axis i, the scalar kernel is even
@@ -487,53 +554,58 @@ def plan_cache_bytes() -> int:
 
 @lru_cache(maxsize=8)
 def _spectrum_blocks(n: int, N: int) -> tuple[tuple, ...]:
-    """The blocks of the padded half spectrum, the octant view each reads, and the axes it mirrors.
+    """The blocks of a slab of the padded spectrum, the octant view each reads, and the axes it mirrors.
 
-    Frequencies 0..N of a leading axis read the octant as it is, N+1..2N-1
-    read it backwards from N-1 to 1, as views; the last axis holds 0..N only.
+    Along a leading axis, frequencies 0..N read the octant as it is and
+    N+1..2N-1 read it backwards from N-1 to 1, as views; a slab's columns
+    read the octant's own columns of the last axis.
     """
     blocks = []
     for mirrored in itertools.product((False, True), repeat=n - 1):
-        mirrored += (False,)
         spec = tuple(slice(N + 1, 2 * N) if m else slice(0, N + 1) for m in mirrored)
         octant = tuple(slice(N - 1, 0, -1) if m else slice(None) for m in mirrored)
-        blocks.append((spec, octant, mirrored))
+        blocks.append((spec, octant, mirrored + (False,)))
     return tuple(blocks)
 
 
-def _apply_hat(f_hat: np.ndarray, hat: np.ndarray, odd, N: int, out: np.ndarray) -> np.ndarray:
-    """out = f_hat times the full transform the octant hat, odd in axis odd, stands for.
+def _hat_product(hat: np.ndarray, odd, N: int):
+    """The slab product with the full transform the octant hat, odd in axis odd, stands for."""
+    blocks = _spectrum_blocks(hat.ndim, N)
 
-    out may be f_hat itself.
-    """
-    for spec, octant, mirrored in _spectrum_blocks(f_hat.ndim, N):
-        dst = out[spec]
-        np.multiply(f_hat[spec], hat[octant], out=dst)
-        if odd is not None:
-            # an odd kernel's hat is -i times the octant, +i where its odd axis is mirrored
-            dst *= 1j if mirrored[odd] else -1j
-    return out
+    def product(slab, cols, out):
+        for spec, octant, mirrored in blocks:
+            dst = out[spec]
+            np.multiply(slab[spec], hat[octant + (cols,)], out=dst)
+            if odd is not None:
+                # an odd kernel's hat is -i times the octant, +i where its odd axis is mirrored
+                dst *= 1j if mirrored[odd] else -1j
+
+    return product
 
 
 def _convolve(f: GridField, *families: tuple[float, object]) -> list[GridField]:
-    """f convolved with each kernel of the (order, family) pairs, from one transform of f."""
-    if np.any(f.values < 0.0):
+    """f convolved with each kernel of the (order, family) pairs, from one transform of f.
+
+    For k kernels on an n-D grid of N points per axis this allocates, besides
+    the cached hats, k half-size spectra of N^(n-1) (N+1) complex points, one
+    of them f's transform, and the k results of N^n points, written one
+    at a time, each spectrum freed once its result is written.  Each worker
+    adds scratch: two slabs (one for a single kernel), then one block of
+    rows, each of at most _SLAB_BYTES or one column or row where that is
+    more; below _PARALLEL_MIN_POINTS they are the whole padded half spectrum
+    of (2N)^(n-1) (N+1) points and all N^(n-1) rows of 2N.  Neither the
+    padded spectrum nor a product with a hat is ever held whole above it.
+    """
+    if f.values.min() < 0.0:  # a GridField holds no NaN
         raise NegativeDensity("potential of a signed density is not defined here")
     g = f.grid
-    hats = [pair for order, family in families for pair in _kernel_hats(g, order, family)]
-    padded = (2 * g.N,) * g.n
-    f_hat = _rfftn_padded(f.values, padded)
-    fields = []
-    for k, (hat, odd) in enumerate(hats):
-        # each product lives only through its own inverse transform (no name
-        # holds it into the next one), and the last one takes the place of
-        # f_hat, which nothing reads after it
-        out = f_hat if k == len(hats) - 1 else np.empty_like(f_hat)
-        spec = _apply_hat(f_hat, hat, odd, g.N, out)
-        del out
-        fields.append(GridField(g, _irfftn_cropped(spec, padded, g.shape) * g.cell_volume))
-        del spec
-    return fields
+    products = [
+        _hat_product(hat, odd, g.N)
+        for order, family in families
+        for hat, odd in _kernel_hats(g, order, family)
+    ]
+    results = _filtered(f.values, (2 * g.N,) * g.n, products, g.cell_volume)
+    return [GridField(g, v) for v in results]
 
 
 def riesz_potential_field(f: GridField, alpha: float) -> GridField:

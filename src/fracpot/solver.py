@@ -267,15 +267,19 @@ def _iterate(
         del mag
         pot, pot_grad = riesz_potential_and_gradient_field(gq, params.s)
         del gq
-        u_next = pot.values + u0.values
-        g_next = [c.values + g0_vals[i] for i, c in enumerate(pot_grad.components)]
+        # the potentials are fresh arrays, so each takes its datum term in place
+        u_next = np.add(pot.values, u0.values, out=pot.values)
+        g_next = [np.add(c.values, g, out=c.values) for c, g in zip(pot_grad.components, g0_vals)]
         del pot, pot_grad
 
-        inc = float(np.max(np.abs(u_next - u)))
-        # grad is rebound to g_next below, so its arrays can take the differences
+        # u and grad are rebound to u_next and g_next below, so their arrays
+        # can take the differences
+        step = np.subtract(u_next, u, out=u)
+        inc = float(np.max(np.abs(step, out=step)))
         diffs = [np.subtract(g, gn, out=g) for g, gn in zip(grad, g_next)]
-        ginc = float(np.max(np.sqrt(squared_norm(diffs))))
-        del diffs
+        gstep = squared_norm(diffs)
+        ginc = float(np.max(np.sqrt(gstep, out=gstep)))
+        del step, diffs, gstep
         report.sup_u.append(float(np.max(np.abs(u_next))))
         report.sup_increment.append(inc)
         report.sup_gradient_increment.append(ginc)

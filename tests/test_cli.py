@@ -346,6 +346,16 @@ def test_scenario_defaults_and_theta_override(tmp_path):
          "ball.radius"),
         ({"measure": {"kind": "uniform_ball", "ball": {"center": [0.0, 0.0], "radius": 1.0},
                       "amplitude": True}}, "amplitude"),
+        # json.loads reads NaN and Infinity; no float key takes them
+        ({"measure": {"kind": "uniform_ball", "ball": {"center": [0.0, 0.0],
+                                                        "radius": float("nan")}}},
+         "ball.radius"),
+        ({"measure": {"kind": "uniform_ball", "ball": {"center": [0.0, 0.0], "radius": 1.0},
+                      "amplitude": float("nan")}}, "amplitude"),
+        ({"measure": {"kind": "atomic", "atoms": [{"x": [float("-inf"), 0.0], "w": 1.0}]}},
+         "x[0]"),
+        ({"theta": float("nan")}, "theta"),
+        ({"tol": float("inf")}, "tol"),
         # not a type error, but the same silent acceptance: a declared support
         # radius that does not contain the ball
         ({"measure": {"kind": "uniform_ball", "ball": {"center": [0.0, 0.0], "radius": 1.0},
@@ -359,6 +369,32 @@ def test_config_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, over
     assert main(["wolff", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [({"tol": -1e-8}, "config.tol must be at least 0"),
+     ({"max_iter": 0}, "config.max_iter must be at least 1")],
+    ids=["negative-tol", "no-iterations"],
+)
+def test_config_refuses_a_solve_that_cannot_converge(tmp_path, capsys, overrides, message):
+    # refused before any work, not run to max_iter or to zero iterations and
+    # then reported unconverged
+    cfg = _write_config(tmp_path / "bad.json", grid={"L": 8.0, "N": 64}, **overrides)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out), "--auto-scale"]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_tol_zero_still_converges(tmp_path, capsys):
+    # the increments reach exactly zero; the exit code is the checks', which
+    # the N=64 grid is too coarse to pass
+    cfg = _write_config(tmp_path / "run.json", grid={"L": 8.0, "N": 64}, tol=0.0)
+    out = tmp_path / "out"
+    main(["solve", "--config", str(cfg), "--out", str(out), "--auto-scale"])
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is True and report["iterations"] == 24
 
 
 def test_verify_passes_after_solve(solved, capsys):
@@ -450,9 +486,14 @@ def test_verify_rejects_a_stored_atom_without_a_weight(solved, tmp_path, capsys)
         ("u.field.json", {"n": 2, "N": 128, "L": -8.0}, 5),
         ("u.field.json", {"n": 0, "N": 128, "L": 8.0}, 5),
         ("u.field.json", '{"n": 2, "N": 128', 5),
+        ("measure.json", {"kind": "uniform_ball", "ball": {"center": [0.0, 0.0], "radius": 1.0},
+                          "amplitude": float("nan"), "support_radius": 1.0}, 1),
+        ("u.field.json", {"n": 2, "N": 128, "L": float("inf")}, 5),
+        ("u.field.json", {"n": 2, "N": 128, "L": float("nan")}, 5),
     ],
     ids=["string-amplitude", "string-N", "float-n", "string-L", "bare-number",
-         "one-cell", "negative-L", "zero-n", "not-json"],
+         "one-cell", "negative-L", "zero-n", "not-json", "nan-amplitude", "infinite-L",
+         "nan-L"],
 )
 def test_verify_rejects_a_malformed_stored_input(solved, tmp_path, capsys, name, content, code):
     # neither parsed from a string, truncated, nor a traceback; a bad
@@ -638,6 +679,8 @@ def test_capacity_mask_file_payload(tmp_path, capsys, spec):
         {"ball": {"center": [True, 0], "radius": 1}},
         {"ball": {"center": [0, 0], "radius": 1, "weight": 2}},
         {"ball": {"center": [0, 0], "radius": 1}, "cells": []},
+        {"ball": {"center": [0, 0], "radius": float("nan")}},
+        {"ball": {"center": [float("inf"), 0], "radius": 1}},
     ],
 )
 def test_capacity_mask_file_ball_needs_a_center_and_a_radius(tmp_path, capsys, spec):

@@ -123,3 +123,11 @@ def test_read_object_takes_a_list_spec_at_the_top_level():
     for value, where in (([[1, True]], "cells[0][1]"), ([], "cells"), ([[]], "cells[0]")):
         with pytest.raises(ConfigError, match=f"^{re.escape(where)} must be"):
             read_object(value, [[int]], "cells")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
+def test_read_object_refuses_a_number_no_finite_float_holds(value):
+    # json.loads reads NaN and Infinity, and an integer of any size
+    with pytest.raises(GridMismatch, match=r"^sidecar\.L must be a finite JSON number"):
+        read_object({"L": value}, {"L": float}, "sidecar", GridMismatch)
+    assert read_object({"L": 10**300}, {"L": float}, "sidecar") == {"L": 1e300}

@@ -7,6 +7,8 @@ unpruned numpy.fft convolution with the same kernels and to the direct sum,
 both also in oracles.py.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -219,6 +221,27 @@ def test_engine_matches_numpy_reference_in_space():
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
+def _fold(n: int, N: int):
+    """Frequency m of a leading axis reads the octant at min(m, 2N - m), as an index."""
+    m = np.arange(2 * N)
+    return np.ix_(*[np.minimum(m, 2 * N - m)] * (n - 1), np.arange(N + 1))
+
+
+def _odd_factor(n: int, N: int, odd: int) -> np.ndarray:
+    """The hat of a kernel odd in axis odd is -i times the octant, +i where that axis is read backwards."""
+    m = np.arange(2 * N if odd < n - 1 else N + 1)
+    backwards = (m > N).reshape((-1,) + (1,) * (n - 1 - odd))
+    return np.where(backwards, 1j, -1j)
+
+
+def _slabs(monkeypatch, n: int, N: int) -> None:
+    """Make a convolution on N^n points run over the workers in slabs that leave a ragged last one."""
+    width = 5 if n == 2 else 2
+    assert (N + 1) % width
+    monkeypatch.setattr(riesz, "_PARALLEL_MIN_POINTS", 1)
+    monkeypatch.setattr(riesz, "_SLAB_BYTES", 16 * (2 * N) ** (n - 1) * width)
+
+
 @pytest.mark.parametrize("n, N", [(2, 16), (3, 8)])
 def test_octant_hats_are_the_transforms_of_the_padded_kernels(n, N):
     g = Grid(n, 4.0, N)
@@ -229,15 +252,9 @@ def test_octant_hats_are_the_transforms_of_the_padded_kernels(n, N):
         assert [odd for _, odd in hats] == list(odd_axes)
         for (hat, odd), kern in zip(hats, _padded_kernels(g, (order, family))):
             full = np.fft.rfftn(kern)
-            # frequency m of a leading axis reads the octant at min(m, 2N - m);
-            # the hat of an odd kernel is -i times the octant, negated where
-            # the odd axis is read backwards
-            m = np.arange(2 * N)
-            fold = [np.minimum(m, 2 * N - m)] * (n - 1) + [np.arange(N + 1)]
-            mirrored = hat[np.ix_(*fold)].astype(complex)
+            mirrored = hat[_fold(n, N)].astype(complex)
             if odd is not None:
-                sign = np.where(np.arange(full.shape[odd]) > N, -1.0, 1.0)
-                mirrored *= -1j * sign.reshape((-1,) + (1,) * (n - 1 - odd))
+                mirrored *= _odd_factor(n, N, odd)
             assert np.max(np.abs(mirrored - full)) <= 1e-15 * np.max(np.abs(full))
     held = [hat for hats in riesz._PLAN_CACHE.values() for hat in hats]
     assert len(held) == 1 + n
@@ -284,17 +301,76 @@ def test_hats_equal_scipy_dct1_and_dst1_bitwise(monkeypatch, n, N, workers):
 
 
 @pytest.mark.parametrize("n, N", [(2, 48), (3, 12)])
-def test_pruned_transforms_equal_scipy_bitwise(n, N):
+def test_pruned_transforms_equal_scipy_bitwise(monkeypatch, n, N):
+    # two random real multipliers, as every multiplier of the engine is, so
+    # that the first goes through the spare slab and the second through the
+    # slab itself
+    _slabs(monkeypatch, n, N)
     rng = np.random.default_rng(N)
     x = rng.standard_normal((N,) * n)
     forward = scipy.fft.rfftn(x, s=(2 * N,) * n)
-    assert riesz._rfftn_padded(x, (2 * N,) * n).tobytes() == forward.tobytes()
-    spec = rng.standard_normal(forward.shape) + 1j * rng.standard_normal(forward.shape)
-    ref = spec
-    for ax in range(n - 1):
-        ref = scipy.fft.ifft(ref, axis=ax)[(slice(None),) * ax + (slice(0, N),)]
-    ref = scipy.fft.irfft(ref, n=2 * N, axis=-1)[..., :N]
-    assert riesz._irfftn_cropped(spec.copy(), (2 * N,) * n, (N,) * n).tobytes() == ref.tobytes()
+    symbols = [rng.standard_normal(forward.shape) for _ in range(2)]
+    products = [lambda slab, cols, out, m=m: np.multiply(slab, m[..., cols], out=out)
+                for m in symbols]
+    for got, m in zip(riesz._filtered(x, (2 * N,) * n, products, 0.5), symbols):
+        ref = m * forward
+        for ax in range(n - 1):
+            ref = scipy.fft.ifft(ref, axis=ax)[(slice(None),) * ax + (slice(0, N),)]
+        ref = scipy.fft.irfft(ref, n=2 * N, axis=-1)[..., :N] * 0.5
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n, N", [(2, 48), (3, 12)])
+def test_convolution_equals_the_whole_array_route_bitwise(monkeypatch, n, N, workers):
+    # the reference holds the padded spectrum, each product with a mirrored
+    # hat and each full-width inverse whole, through scipy.fft
+    _slabs(monkeypatch, n, N)
+    g = Grid(n, 8.0, N)
+    f = _smooth_density(g)
+    families = ((1.5, _scalar_kernels), (0.75, _gradient_kernels))
+    clear_plan_cache()
+    with fft_workers(workers):
+        got = riesz._convolve(f, *families)
+    spectrum = scipy.fft.rfftn(f.values, s=(2 * N,) * n)
+    hats = [pair for order, family in families for pair in riesz._kernel_hats(g, order, family)]
+    assert len(got) == len(hats) == 1 + n
+    for field, (hat, odd) in zip(got, hats):
+        ref = spectrum * hat[_fold(n, N)]
+        if odd is not None:
+            ref *= _odd_factor(n, N, odd)
+        for ax in range(n - 1):
+            ref = scipy.fft.ifft(ref, axis=ax)[(slice(None),) * ax + (slice(0, N),)]
+        ref = scipy.fft.irfft(ref, n=2 * N, axis=-1)[..., :N] * g.cell_volume
+        assert field.values.tobytes() == ref.tobytes()
+    clear_plan_cache()
+
+
+def test_convolution_holds_no_padded_spectrum(monkeypatch):
+    # I_2s and its gradient on the plane: k = 3 half-size spectra, one result
+    # and each worker's scratch, against the padded half spectrum and one
+    # product with a hat that a whole-array convolution holds
+    g, workers, budget = Grid(2, 8.0, 256), 2, 2**16
+    monkeypatch.setattr(riesz, "_PARALLEL_MIN_POINTS", 1)
+    monkeypatch.setattr(riesz, "_SLAB_BYTES", budget)
+    f = _smooth_density(g)
+    k, N = 3, g.N
+    half, result = 16 * N * (N + 1), 8 * N * N
+    padded = 16 * 2 * N * (N + 1)
+    clear_plan_cache()
+    with fft_workers(workers):
+        riesz_potential_and_gradient_field(f, 0.75)  # builds and caches the hats
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            riesz_potential_and_gradient_field(f, 0.75)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    clear_plan_cache()
+    # 64 KiB covers the Python objects and the small temporaries
+    assert k * half <= peak <= k * half + result + workers * 2 * budget + 2**16
+    assert peak < 2 * padded
 
 
 @pytest.mark.parametrize("shape", [(64, 64), (48, 100), (16, 16, 16), (12, 10, 9)])
