@@ -10,10 +10,8 @@ __version__ = "0.1.0"
 from .capacity import (
     AdmissibilityReport,
     CapacityEstimate,
-    DominationReport,
     ball_capacity_upper,
     ball_mask,
-    check_capacity_domination,
     estimate_ball_capacity,
     estimate_capacity,
     scale_measure_admissible,
@@ -66,7 +64,6 @@ __all__ = [
     "CapacityEstimate",
     "ConstantsLedger",
     "DecayFit",
-    "DominationReport",
     "FracpotError",
     "Grid",
     "GridField",
@@ -78,7 +75,6 @@ __all__ = [
     "ball_capacity_upper",
     "ball_mask",
     "ball_volume",
-    "check_capacity_domination",
     "constants_ledger",
     "decay_fit",
     "default_test_functions",

@@ -78,22 +78,11 @@ class AdmissibilityReport:
     scale_factor: float = 1.0
 
 
-@dataclass(frozen=True)
-class DominationReport:
-    ratios: tuple[float, ...]
-    balls: tuple[tuple[tuple[float, ...], float], ...]
-
-    @property
-    def max_ratio(self) -> float:
-        return max(self.ratios) if self.ratios else 0.0
-
-
 def ball_capacity_upper(n: int, alpha: float, p: float, r: float) -> float:
     """Closed-form upper bound C * r^(n - alpha p) for cap of a ball."""
     if not 0.0 < alpha < n:
         raise AlphaOutOfRange(f"alpha={alpha} outside (0, {n})")
-    if p <= 1.0:
-        raise ValueError("p must exceed 1")
+    _check_exponent(p)
     if r < 0.0:
         raise ValueError("radius must be nonnegative")
     if r == 0.0:
@@ -101,6 +90,12 @@ def ball_capacity_upper(n: int, alpha: float, p: float, r: float) -> float:
     c = riesz_constant(n, alpha)
     const = (2.0 ** (n - alpha) / c) ** p * sphere_surface(n) ** (1.0 - p)
     return const * r ** (n - alpha * p)
+
+
+def _check_exponent(p: float) -> None:
+    """Refuse a capacity exponent outside 1 < p < inf, nan included."""
+    if not 1.0 < p < np.inf:
+        raise ValueError(f"capacity exponent p must satisfy 1 < p < inf, got p={p}")
 
 
 def ball_mask(grid: Grid, x0, r: float) -> np.ndarray:
@@ -139,6 +134,7 @@ def estimate_capacity(
     upper_bound the best feasible objective the loop reached, or value if
     rounding puts that above it.
     """
+    _check_exponent(p)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != grid.shape:
         raise ConfigError("mask shape does not match grid")
@@ -312,18 +308,3 @@ def scale_measure_admissible(
     return t, replace(
         base, c1_hat=c1_hat, theta=c1_hat / base.c1_threshold, scale_factor=t
     )
-
-
-def check_capacity_domination(
-    omega: Measure, params: Parameters, balls
-) -> DominationReport:
-    """Ratios omega(B) / cap-upper-bound over a family of balls."""
-    alpha = 2.0 * params.s - 1.0
-    ratios = []
-    stored = []
-    for center, radius in balls:
-        cap = ball_capacity_upper(params.n, alpha, params.p, radius)
-        mass = omega.ball_mass(center, radius)
-        ratios.append(mass / cap if cap > 0.0 else np.inf if mass > 0.0 else 0.0)
-        stored.append((tuple(float(x) for x in center), float(radius)))
-    return DominationReport(ratios=tuple(ratios), balls=tuple(stored))

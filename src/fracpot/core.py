@@ -167,31 +167,6 @@ class VectorGridField:
         return GridField(self.grid, np.sqrt(squared_norm([c.values for c in self.components])))
 
 
-def _cap_volume(n: int, r: float, x: float) -> float:
-    """Volume of the spherical cap {y in B_r : y_1 >= x}, -r <= x <= r."""
-    if x >= r:
-        return 0.0
-    if x <= -r:
-        return ball_volume(n) * r**n
-    if x < 0.0:
-        return ball_volume(n) * r**n - _cap_volume(n, r, -x)
-    # the only use of scipy in fracpot, imported here to keep it off the CLI's start-up
-    from scipy.special import betainc
-
-    sin2 = 1.0 - (x / r) ** 2
-    return 0.5 * ball_volume(n) * r**n * float(betainc((n + 1) / 2.0, 0.5, sin2))
-
-
-def _ball_intersection_volume(n: int, r1: float, c1: np.ndarray, r2: float, c2: np.ndarray) -> float:
-    d = float(np.linalg.norm(np.asarray(c1, dtype=float) - np.asarray(c2, dtype=float)))
-    if d >= r1 + r2:
-        return 0.0
-    if d <= abs(r1 - r2):
-        return ball_volume(n) * min(r1, r2) ** n
-    x1 = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-    return _cap_volume(n, r1, x1) + _cap_volume(n, r2, d - x1)
-
-
 @dataclass
 class Measure:
     """Nonnegative finite measure: atoms, a gridded density, or a uniform ball.
@@ -278,26 +253,6 @@ class Measure:
             return float(np.sum(self.density.values) * g.cell_volume)
         n = self.dimension
         return self.ball_amplitude * ball_volume(n) * self.ball_radius**n
-
-    def ball_mass(self, x0: np.ndarray, r: float) -> float:
-        """Mass inside the open ball B_r(x0).
-
-        Atoms use strict membership; gridded densities count cell centers;
-        the uniform ball is handled exactly through spherical-cap volumes.
-        """
-        x0 = np.asarray(x0, dtype=float).ravel()
-        if r <= 0.0:
-            return 0.0
-        if self.kind == "atomic":
-            dist = np.linalg.norm(self.atoms - x0, axis=1)
-            return float(np.sum(self.weights[dist < r]))
-        if self.kind == "density":
-            g = self.density.grid
-            inside = g.dist2(x0) < r * r
-            return float(np.sum(self.density.values[inside]) * g.cell_volume)
-        n = self.dimension
-        vol = _ball_intersection_volume(n, self.ball_radius, self.ball_center, r, x0)
-        return self.ball_amplitude * vol
 
     def scaled(self, t: float) -> "Measure":
         """The measure t * omega (same support, weights multiplied by t)."""

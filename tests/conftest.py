@@ -1,3 +1,6 @@
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,3 +44,24 @@ def reference_run():
         "grad": grad,
         "report": report,
     }
+
+
+@pytest.fixture(scope="session")
+def golden_run(tmp_path_factory):
+    """Every command at the golden sizes, run by one fresh interpreter.
+
+    Returns the directory make_golden.run_all wrote, and the scipy modules
+    that interpreter had loaded when the last command returned.
+    """
+    out = tmp_path_factory.mktemp("golden")
+    code = (
+        "import json, sys\n"
+        "import make_golden\n"
+        "make_golden.run_all(sys.argv[1])\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    golden = Path(__file__).parent / "golden"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(golden), *sys.path]))
+    done = subprocess.run([sys.executable, "-c", code, str(out)], env=env,
+                          capture_output=True, text=True, check=True)
+    return out, json.loads(done.stdout)

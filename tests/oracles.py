@@ -230,21 +230,6 @@ def padded_offsets(n: int, N: int, h: float) -> list[np.ndarray]:
     return np.meshgrid(*[axis] * n, indexing="ij", sparse=True)
 
 
-def disk_intersection_area(d: float, r1: float, r2: float) -> float:
-    """Area of the intersection of two disks with centre distance d."""
-    if d >= r1 + r2:
-        return 0.0
-    if d <= abs(r1 - r2):
-        rmin = min(r1, r2)
-        return np.pi * rmin * rmin
-    t1 = r1 * r1 * np.arccos((d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1))
-    t2 = r2 * r2 * np.arccos((d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2))
-    t3 = 0.5 * np.sqrt(
-        (-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2)
-    )
-    return t1 + t2 - t3
-
-
 def bessel_j(nu: float, x: np.ndarray) -> np.ndarray:
     return jv(nu, x)
 

@@ -13,7 +13,6 @@ from fracpot import (
     Parameters,
     ball_capacity_upper,
     ball_mask,
-    check_capacity_domination,
     estimate_ball_capacity,
     estimate_capacity,
     riesz_potential_field,
@@ -297,6 +296,20 @@ def test_estimate_rejects_empty_or_mismatched_mask():
         estimate_capacity(np.zeros((4, 4), dtype=bool), 0.5, 2.0, g)
 
 
+@pytest.mark.parametrize("p", [1.0, 0.5, -2.0, np.nan, np.inf])
+def test_estimate_refuses_an_exponent_outside_one_to_infinity(p):
+    # p = 1 used to die dividing by p - 1, p = 0.5 to report a dual bound
+    # above its estimate and p = -2 a non-finite candidate
+    g = Grid(2, 4.0, 16)
+    for estimate in (
+        lambda: estimate_capacity(ball_mask(g, np.zeros(2), 1.0), 0.5, p, g),
+        lambda: estimate_ball_capacity(np.zeros(2), 1.0, 0.5, p, g),
+        lambda: ball_capacity_upper(2, 0.5, p, 1.0),
+    ):
+        with pytest.raises(ValueError, match=rf"1 < p < inf, got p={p}$"):
+            estimate()
+
+
 def test_admissibility_ratio_exactly_homogeneous():
     # V and W both scale by powers of t, so the reported ratio obeys
     # c1_hat(t omega) = t^(q-1) c1_hat(omega) with no quadrature error at all
@@ -366,24 +379,3 @@ def test_scaling_rejects_theta_outside_unit_interval():
     for theta in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ThetaOutOfRange):
             scale_measure_admissible(om, theta, PARAMS, g)
-
-
-def test_capacity_domination_for_admissible_measure():
-    g = Grid(2, 8.0, 128)
-    om = Measure.uniform_ball(np.zeros(2), 1.0, 1.0)
-    t, _ = scale_measure_admissible(om, 0.5, PARAMS, g)
-    balls = [((0.0, 0.0), r) for r in (0.25, 0.5, 1.0, 2.0)]
-    rep = check_capacity_domination(om.scaled(t), PARAMS, balls)
-    assert len(rep.ratios) == 4
-    assert all(r >= 0.0 for r in rep.ratios)
-    assert rep.max_ratio <= 1.0
-    # mass saturates once the window covers the support; capacity keeps
-    # growing, so the peak ratio sits at the support radius
-    assert rep.max_ratio == rep.ratios[2]
-
-
-def test_capacity_domination_zero_measure_is_zero():
-    om = Measure.from_atoms(np.zeros((0, 2)), np.zeros(0))
-    rep = check_capacity_domination(om, PARAMS, [((0.0, 0.0), 1.0)])
-    assert rep.ratios == (0.0,)
-    assert rep.max_ratio == 0.0

@@ -15,8 +15,6 @@ from fracpot.errors import (
     SubcriticalExponent,
 )
 
-from oracles import disk_intersection_area
-
 
 def test_parameters_derived_exponents():
     p = Parameters(2, 0.75, 2.0)
@@ -65,10 +63,9 @@ def test_point_of_another_dimension_is_a_grid_mismatch(x0):
     # an extra coordinate used to be dropped silently, a missing one raised IndexError
     g = Grid(2, 4.0, 16)
     with pytest.raises(GridMismatch):
-        ball_mask(g, x0, 1.0)
-    density = Measure.from_density(GridField(g, np.ones(g.shape)), support_radius=8.0)
+        g.offsets(x0)
     with pytest.raises(GridMismatch):
-        density.ball_mass(np.array(x0), 1.0)
+        ball_mask(g, x0, 1.0)
 
 
 @given(
@@ -115,9 +112,6 @@ def test_atomic_measure_mass_and_ball_counts():
     weights = np.array([1.0, 2.0, 4.0])
     om = Measure.from_atoms(atoms, weights)
     assert om.total_mass() == pytest.approx(7.0, abs=1e-15)
-    assert om.ball_mass(np.zeros(2), 0.5) == pytest.approx(1.0)
-    assert om.ball_mass(np.zeros(2), 1.5) == pytest.approx(3.0)
-    assert om.ball_mass(np.zeros(2), 2.5) == pytest.approx(7.0)
     assert om.support_radius == pytest.approx(2.0)
 
 
@@ -134,28 +128,6 @@ def test_atomic_measure_rejects_atoms_outside_declared_support():
 def test_uniform_ball_mass_is_area():
     om = Measure.uniform_ball(np.zeros(2), 1.0, 2.0)
     assert om.total_mass() == pytest.approx(2.0 * np.pi, rel=1e-12)
-
-
-def test_uniform_ball_ball_mass_matches_disk_intersection():
-    # off-centre window over the unit disk, checked against the two-disk
-    # intersection area formula
-    om = Measure.uniform_ball(np.zeros(2), 1.0, 1.0)
-    for d, r in ((0.5, 0.75), (0.9, 0.5), (1.2, 0.4), (0.0, 0.3)):
-        x0 = np.array([d, 0.0])
-        ref = disk_intersection_area(d, 1.0, r)
-        assert om.ball_mass(x0, r) == pytest.approx(ref, rel=1e-10, abs=1e-12)
-
-
-def test_ball_mass_monotone_and_exhaustive():
-    rng = np.random.default_rng(7)
-    atoms = rng.uniform(-1.0, 1.0, size=(5, 2))
-    weights = rng.uniform(0.1, 1.0, size=5)
-    om = Measure.from_atoms(atoms, weights)
-    x0 = np.array([0.3, -0.2])
-    radii = np.linspace(0.1, 4.0, 40)
-    vals = [om.ball_mass(x0, r) for r in radii]
-    assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
-    assert vals[-1] == pytest.approx(om.total_mass(), rel=1e-14)
 
 
 def test_measure_scaling_scales_mass_linearly():
