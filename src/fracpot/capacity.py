@@ -35,15 +35,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Grid, GridField, Measure, Parameters
-from .errors import (
-    AlphaOutOfRange,
-    ConfigError,
-    EmptySet,
-    NotConverged,
-    ThetaOutOfRange,
-    ZeroMeasure,
-)
+from .core import Grid, GridField, Measure, Parameters, sup_ratio
+from .errors import ConfigError, NotConverged
 from .riesz import (
     gradient_comparison_constant,
     riesz_constant,
@@ -81,10 +74,10 @@ class AdmissibilityReport:
 def ball_capacity_upper(n: int, alpha: float, p: float, r: float) -> float:
     """Closed-form upper bound C * r^(n - alpha p) for cap of a ball."""
     if not 0.0 < alpha < n:
-        raise AlphaOutOfRange(f"alpha={alpha} outside (0, {n})")
+        raise ConfigError(f"alpha={alpha} outside (0, {n})")
     _check_exponent(p)
     if r < 0.0:
-        raise ValueError("radius must be nonnegative")
+        raise ConfigError("radius must be nonnegative")
     if r == 0.0:
         return 0.0
     c = riesz_constant(n, alpha)
@@ -95,7 +88,7 @@ def ball_capacity_upper(n: int, alpha: float, p: float, r: float) -> float:
 def _check_exponent(p: float) -> None:
     """Refuse a capacity exponent outside 1 < p < inf, nan included."""
     if not 1.0 < p < np.inf:
-        raise ValueError(f"capacity exponent p must satisfy 1 < p < inf, got p={p}")
+        raise ConfigError(f"capacity exponent p must satisfy 1 < p < inf, got p={p}")
 
 
 def ball_mask(grid: Grid, x0, r: float) -> np.ndarray:
@@ -139,7 +132,7 @@ def estimate_capacity(
     if mask.shape != grid.shape:
         raise ConfigError("mask shape does not match grid")
     if not mask.any():
-        raise EmptySet("capacity of the empty set is trivially zero")
+        raise ConfigError("capacity of the empty set is trivially zero")
     scale = grid.h ** (grid.n - alpha * p)
     try:
         best_u, best_val, lower, it = _unit_solve(
@@ -274,17 +267,15 @@ def wolff_ratio_and_potential(
 ) -> tuple[AdmissibilityReport, GridField]:
     """wolff_ratio and the potential I_{2s-1}(omega) it was measured on."""
     if omega.total_mass() <= 0.0:
-        raise ZeroMeasure("admissibility ratio of the zero measure")
+        raise ConfigError("admissibility ratio of the zero measure")
     if grid.L < 4.0 * omega.support_radius:
-        raise ConfigError(
-            f"box half-width {grid.L} below 4 x support radius {omega.support_radius}"
-        )
+        raise ConfigError(f"box half-width {grid.L} below 4 x support radius {omega.support_radius}")
     alpha = 2.0 * params.s - 1.0
     pot = riesz_potential_measure(omega, alpha, grid)
-    v = pot.values
-    w = riesz_potential_field(GridField(grid, v**params.q), alpha).values
-    keep = v >= 1e-14
-    c1_hat = float(np.max(w[keep] / v[keep]))
+    w = riesz_potential_field(GridField(grid, pot.values**params.q), alpha).values
+    c1_hat = sup_ratio(w, pot.values, 0.0)
+    if c1_hat == 0.0:
+        raise ConfigError("admissibility ratio underflows: [I_(2s-1) omega]^q is 0 in every cell")
     thresh = c1_threshold(params)
     report = AdmissibilityReport(c1_hat=c1_hat, c1_threshold=thresh, theta=c1_hat / thresh)
     return report, pot
@@ -301,7 +292,7 @@ def scale_measure_admissible(
     measures the scaled measure itself, so the inference is checked there.
     """
     if not 0.0 < theta_target < 1.0:
-        raise ThetaOutOfRange(f"target theta {theta_target} outside (0, 1)")
+        raise ConfigError(f"target theta {theta_target} outside (0, 1)")
     base = wolff_ratio(omega, params, grid)
     t = (theta_target * base.c1_threshold / base.c1_hat) ** (1.0 / (params.q - 1.0))
     c1_hat = t ** (params.q - 1.0) * base.c1_hat

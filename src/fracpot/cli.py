@@ -6,9 +6,11 @@ Scenario, rejecting unknown keys and values of the wrong JSON type, so a
 misspelled or mistyped option fails loudly instead of silently using a
 default or a truncated value.  verify and diagnostics read a stored solution
 through _load_solution; each option shared by subcommands is declared once.
-Exit codes are part of the interface: 0 success, 1 validation or check
-failure, 2 inadmissible measure, 3 diverged iteration, 4 I/O trouble, 5
-metadata mismatch between stored fields and the config.
+Exit codes are part of the interface: 0 success, 1 refused input (usage
+errors included) or a failed check, 2 inadmissible measure, 3 diverged
+iteration, 4 I/O trouble, 5 metadata mismatch between stored fields and the
+config.  Only fracpot's own errors and OSError are turned into an exit code;
+any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -73,8 +75,10 @@ _CONFIG = {
     "checks": (list, sorted(CHECK_NAMES)),
 }
 _MASK_BALL = {"ball": {"center": [float], "radius": float}}
-# exit code per error; the first match wins, so the catch-all comes last
-_EXIT_CODES = ((NotAdmissible, 2), (Diverged, 3), (GridMismatch, 5), (OSError, 4), (Exception, 1))
+# exit code per error; the first match wins.  Besides a refused input, exit 1
+# is a computation that failed its own test (NotConverged, AnnulusEmpty)
+_EXIT_CODES = ((NotAdmissible, 2), (Diverged, 3), (GridMismatch, 5), (OSError, 4),
+               (ConfigError, 1), (FracpotError, 1))
 
 
 def _read_config(path: Path | str) -> tuple[dict, dict]:
@@ -219,14 +223,10 @@ def cmd_wolff(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    given = {"--ball": args.ball, "--mask-file": args.mask_file, "--sweep": args.sweep}
-    targets = [flag for flag, value in given.items() if value is not None]
-    if len(targets) != 1:
-        raise ConfigError(f"capacity needs one of --ball, --mask-file or --sweep, got {targets}")
     if args.sweep is not None:
         if args.L is not None:
             raise ConfigError("--sweep puts each radius r on its own box, L = 4r; drop --L")
-        radii = [float(r) for r in args.sweep.split(",")]
+        radii = args.sweep
         if len(set(radii)) < 2:
             raise ConfigError("--sweep needs at least two distinct radii to fit a slope")
         rows = []
@@ -256,7 +256,7 @@ def cmd_capacity(args) -> int:
         est = estimate_capacity(mask, args.alpha, args.p, grid)
     else:
         if spec is None:
-            *center, radius = (float(x) for x in args.ball.split(","))
+            *center, radius = args.ball
         else:
             ball = read_object(spec, _MASK_BALL, "mask file")["ball"]
             center, radius = ball["center"], ball["radius"]
@@ -299,8 +299,28 @@ def cmd_diagnostics(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are ConfigErrors: exit 1, one error line.
+
+    argparse exits 2 itself, the code of a datum that is not admissible.
+    The subparsers are made of the parser's class, so they raise it too.
+    """
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+def _numbers(text: str) -> list[float]:
+    """The value of --ball or --sweep: comma-separated numbers."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        message = f"expected comma-separated numbers, not {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracpot",
         description="Riesz potentials, capacities, and the Picard solver "
         "for (-Delta)^s u = |grad u|^q + omega",
@@ -336,15 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, default=None,
                    help="box half-width for --ball and --mask-file (default: 4)")
     p.add_argument("--N", type=int, default=128)
-    # cmd_capacity takes exactly one of these three and rejects any other
-    # combination with a ConfigError (exit 1); an argparse mutually exclusive
-    # group would exit 2, the code of a datum that is not admissible
-    p.add_argument("--ball", default=None, help="cx,cy,...,r")
-    p.add_argument("--mask-file", default=None)
-    p.add_argument("--sweep", default=None,
-                   help="comma-separated radii, each on L = 4r: one scale-free problem, "
-                   "solved once and mapped to each radius, so the slope checks that "
-                   "mapping, not the discretisation")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--ball", type=_numbers, default=None, help="cx,cy,...,r")
+    target.add_argument("--mask-file", default=None)
+    target.add_argument("--sweep", type=_numbers, default=None,
+                        help="comma-separated radii, each on L = 4r: one scale-free problem, "
+                        "solved once and mapped to each radius, so the slope checks that "
+                        "mapping, not the discretisation")
     p.set_defaults(func=cmd_capacity)
     sub.add_parser("verify", parents=[config, fields_in, out],
                    help="re-check stored solution fields").set_defaults(func=cmd_verify)
@@ -354,14 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    threads = available_cpus() if args.threads is None else args.threads
     # run_meta.json's plan_cache_bytes counts this run's kernel hats only
     clear_plan_cache()
     try:
+        args = build_parser().parse_args(argv)
+        threads = available_cpus() if args.threads is None else args.threads
         with fft_workers(threads):
             return args.func(args)
-    except (FracpotError, ValueError, OSError) as exc:
+    except (FracpotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 

@@ -12,13 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    DimensionTooLow,
-    GridMismatch,
-    NegativeDensity,
-    OrderOutOfRange,
-    SubcriticalExponent,
-)
+from .errors import ConfigError, GridMismatch
 from .special import ball_volume
 
 
@@ -39,14 +33,14 @@ class Parameters:
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise DimensionTooLow(f"dimension must be an integer >= 2, got {self.n!r}")
+            raise ConfigError(f"dimension must be an integer >= 2, got {self.n!r}")
         if not 0.5 < self.s < 1.0:
-            raise OrderOutOfRange(f"s must lie in (1/2, 1), got {self.s}")
+            raise ConfigError(f"s must lie in (1/2, 1), got {self.s}")
         if self.n < 2 or self.n <= 2.0 * self.s:
-            raise DimensionTooLow(f"need n > 2s with n >= 2, got n={self.n}, s={self.s}")
+            raise ConfigError(f"need n > 2s with n >= 2, got n={self.n}, s={self.s}")
         p_star = self.n / (self.n - 2.0 * self.s + 1.0)
         if self.q <= p_star:
-            raise SubcriticalExponent(
+            raise ConfigError(
                 f"q must exceed n/(n-2s+1) = {p_star:.6g}, got q={self.q}"
             )
         object.__setattr__(self, "p", self.q / (self.q - 1.0))
@@ -65,6 +59,15 @@ def squared_norm(offsets: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def sup_ratio(num: np.ndarray, den: np.ndarray, empty: float) -> float:
+    """max num / den over the cells where den exceeds 1e-14 of its maximum; empty if none does.
+
+    The floor is relative, so scaling the datum does not move the set of cells kept.
+    """
+    keep = den > 1e-14 * np.max(den)
+    return float(np.max(num[keep] / den[keep])) if keep.any() else empty
+
+
 @dataclass(frozen=True)
 class Grid:
     """Cell-centered uniform grid on [-L, L]^n with N cells per axis."""
@@ -75,11 +78,11 @@ class Grid:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError("grid dimension must be positive")
+            raise ConfigError("grid dimension must be positive")
         if self.N < 2:
-            raise ValueError("need at least two cells per axis")
+            raise ConfigError("need at least two cells per axis")
         if not self.L > 0.0:
-            raise ValueError("box half-width must be positive")
+            raise ConfigError("box half-width must be positive")
 
     @property
     def h(self) -> float:
@@ -143,7 +146,7 @@ class GridField:
                 f"field shape {self.values.shape} does not match grid {self.grid.shape}"
             )
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("field contains non-finite entries")
+            raise ConfigError("field contains non-finite entries")
 
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -191,28 +194,28 @@ class Measure:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         w = np.asarray(weights, dtype=float).ravel()
         if pts.shape[0] != w.shape[0]:
-            raise ValueError("one weight per atom required")
+            raise ConfigError("one weight per atom required")
         if np.any(w < 0.0):
-            raise NegativeDensity("atom weights must be nonnegative")
+            raise ConfigError("atom weights must be nonnegative")
         norms = np.linalg.norm(pts, axis=1)
         radius = float(np.max(norms)) if pts.size else 0.0
         if support_radius is None:
             support_radius = radius
         elif radius > support_radius * (1.0 + 1e-12) + 1e-300:
-            raise ValueError("an atom lies outside the declared support ball")
+            raise ConfigError("an atom lies outside the declared support ball")
         return cls(kind="atomic", support_radius=float(support_radius), atoms=pts, weights=w)
 
     @classmethod
     def from_density(cls, density: GridField, support_radius: float | None = None) -> "Measure":
         if np.any(density.values < 0.0):
-            raise NegativeDensity("density must be nonnegative")
+            raise ConfigError("density must be nonnegative")
         radii = density.grid.radii()
         nonzero = density.values > 0.0
         reach = float(np.max(radii[nonzero])) if np.any(nonzero) else 0.0
         if support_radius is None:
             support_radius = reach
         elif reach > support_radius * (1.0 + 1e-12) + 1e-300:
-            raise ValueError("density has mass outside the declared support ball")
+            raise ConfigError("density has mass outside the declared support ball")
         return cls(kind="density", support_radius=float(support_radius), density=density)
 
     @classmethod
@@ -223,12 +226,12 @@ class Measure:
         """support_radius is |center| + radius; a declared one must contain the ball."""
         center = np.asarray(center, dtype=float).ravel()
         if radius <= 0.0:
-            raise ValueError("ball radius must be positive")
+            raise ConfigError("ball radius must be positive")
         if amplitude < 0.0:
-            raise NegativeDensity("ball density must be nonnegative")
+            raise ConfigError("ball density must be nonnegative")
         reach = float(np.linalg.norm(center) + radius)
         if support_radius is not None and reach > support_radius * (1.0 + 1e-12) + 1e-300:
-            raise ValueError("the ball lies outside the declared support ball")
+            raise ConfigError("the ball lies outside the declared support ball")
         return cls(
             kind="uniform_ball",
             support_radius=reach,
@@ -257,7 +260,7 @@ class Measure:
     def scaled(self, t: float) -> "Measure":
         """The measure t * omega (same support, weights multiplied by t)."""
         if t < 0.0:
-            raise NegativeDensity("scaling factor must be nonnegative")
+            raise ConfigError("scaling factor must be nonnegative")
         if self.kind == "atomic":
             return replace(self, weights=self.weights * t)
         if self.kind == "density":
@@ -280,4 +283,4 @@ class Measure:
             dist2 = grid.dist2(self.ball_center)
             values = np.where(dist2 < self.ball_radius**2, self.ball_amplitude, 0.0)
             return GridField(grid, values)
-        raise ValueError("atomic measures are evaluated analytically, not rasterised")
+        raise ConfigError("atomic measures are evaluated analytically, not rasterised")

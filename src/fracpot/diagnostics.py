@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import Grid, GridField, Measure, Parameters
-from .errors import AnnulusEmpty, KappaOutOfRange
+from .errors import AnnulusEmpty, ConfigError
 from .riesz import riesz_constant
 
 
@@ -29,7 +29,7 @@ def marcinkiewicz_quasinorm(v: GridField, kappa: float, weight_s: float) -> floa
     logarithmic lambda grid can only undershoot.
     """
     if kappa <= 1.0:
-        raise KappaOutOfRange(f"kappa {kappa} must exceed 1")
+        raise ConfigError(f"kappa {kappa} must exceed 1")
     mags = np.abs(v.values).ravel()
     if not np.any(mags > 0.0):
         return 0.0

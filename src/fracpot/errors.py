@@ -1,8 +1,11 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, matched to the CLI's exit codes.
 
-Every error raised on a violated precondition derives from FracpotError so
-callers (and the CLI) can separate model-domain failures from programming
-bugs.
+Every error fracpot raises on input it refuses or on a run that fails
+derives from FracpotError; any other exception is a bug.  A class exists
+only where some code tells it apart: the CLI maps NotAdmissible, Diverged
+and GridMismatch to their own exit codes, estimate_capacity and
+diagnostics_report catch NotConverged and AnnulusEmpty, and every other
+refused input or argument is a ConfigError.
 """
 
 
@@ -10,48 +13,12 @@ class FracpotError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DimensionTooLow(FracpotError):
-    """Ambient dimension does not dominate the operator order (n <= 2s)."""
-
-
-class OrderOutOfRange(FracpotError):
-    """Fractional order s outside the open interval (1/2, 1)."""
-
-
-class SubcriticalExponent(FracpotError):
-    """Gradient exponent q at or below the critical threshold n/(n-2s+1)."""
-
-
-class AlphaOutOfRange(FracpotError):
-    """Riesz order alpha outside (0, n)."""
-
-
-class NegativeDensity(FracpotError):
-    """Density input carries negative entries."""
-
-
-class BoundaryLeak(FracpotError):
-    """Field does not decay at the box boundary; spectral output untrusted."""
-
-
-class KappaOutOfRange(FracpotError):
-    """Weak-norm exponent kappa must exceed 1."""
-
-
-class EmptySet(FracpotError):
-    """Constraint set contains no grid cell."""
+class ConfigError(FracpotError):
+    """An input or argument outside what the model or the program accepts."""
 
 
 class NotConverged(FracpotError):
     """Iterative routine exhausted its budget without meeting tolerances."""
-
-
-class ZeroMeasure(FracpotError):
-    """Operation undefined for the zero measure."""
-
-
-class ThetaOutOfRange(FracpotError):
-    """Smallness fraction theta must lie in (0, 1)."""
 
 
 class NotAdmissible(FracpotError):
@@ -68,7 +35,3 @@ class AnnulusEmpty(FracpotError):
 
 class GridMismatch(FracpotError):
     """Fields or files carry incompatible grid metadata."""
-
-
-class ConfigError(FracpotError):
-    """Malformed or unsupported run configuration."""

@@ -3,7 +3,7 @@
 (-Delta)^s is applied through the discrete Fourier transform with symbol
 |xi|^(2s), xi_k = pi k / L per axis, k in {-N/2, ..., N/2 - 1}.  The box is
 periodic for the transform, so inputs must be numerically negligible at the
-boundary; the operator refuses fields that leak (BoundaryLeak) because the
+boundary; the operator refuses fields that leak (a ConfigError) because the
 wrap-around would silently pollute every mode.
 
 Weak residuals test the distributional identity
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Grid, GridField, Measure, Parameters, VectorGridField, squared_norm
-from .errors import BoundaryLeak, GridMismatch
+from .errors import ConfigError, GridMismatch
 from .riesz import atom_quadrature_correction, fourier_multiplier
 
 _LEAK_TOLERANCE = 1e-10
@@ -41,7 +41,7 @@ class TestFunction:
 
     def __post_init__(self) -> None:
         if self.width <= 0.0:
-            raise ValueError("test function width must be positive")
+            raise ConfigError("test function width must be positive")
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -105,14 +105,14 @@ def fractional_laplacian_spectral(phi: GridField, s: float) -> GridField:
     what the model uses.
     """
     if not 0.0 <= s <= 1.0:
-        raise ValueError(f"spectral order s must lie in [0, 1], got {s}")
+        raise ConfigError(f"spectral order s must lie in [0, 1], got {s}")
     g = phi.grid
     peak = phi.sup()
     if peak == 0.0:
         return g.zeros()
     leak = _boundary_amplitude(phi.values) / peak
     if leak > _LEAK_TOLERANCE:
-        raise BoundaryLeak(
+        raise ConfigError(
             f"boundary amplitude {leak:.3e} of the peak exceeds {_LEAK_TOLERANCE:.0e}; "
             "enlarge the box or shrink the field"
         )
@@ -176,5 +176,5 @@ def weak_residual(
             b_term = float(np.sum(grad_q * phig.values) * g.cell_volume)
         defect = abs(a_term - b_term - c_term)
         denom = max(abs(a_term), abs(b_term) + abs(c_term))
-        residuals.append(defect if denom < 1e-14 else defect / denom)
+        residuals.append(defect / denom if denom else defect)
     return residuals

@@ -97,14 +97,13 @@ def read_field(path: Path | str) -> GridField:
     where = f"sidecar {sidecar}"
     try:
         grid = Grid(**read_object(read_json(sidecar, GridMismatch), _SIDECAR, where, GridMismatch))
-    except ValueError as exc:
+    except ConfigError as exc:
         raise GridMismatch(f"{where}: {exc}") from exc
-    values = np.frombuffer(path.read_bytes(), dtype="<f8")
-    if values.size != grid.size:
-        raise GridMismatch(
-            f"field file holds {values.size} values, sidecar promises {grid.size}"
-        )
-    return GridField(grid, values.reshape(grid.shape).copy())
+    data = path.read_bytes()
+    if len(data) != 8 * grid.size:
+        raise GridMismatch(f"{path} holds {len(data)} bytes, its sidecar promises "
+                           f"{grid.size} float64 values ({8 * grid.size} bytes)")
+    return GridField(grid, np.frombuffer(data, dtype="<f8").reshape(grid.shape).copy())
 
 
 def measure_to_dict(measure: Measure, density_file: str | None = None) -> dict:

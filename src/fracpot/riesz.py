@@ -60,14 +60,14 @@ from functools import lru_cache
 import numpy as np
 
 from .core import Grid, GridField, Measure, VectorGridField, squared_norm
-from .errors import AlphaOutOfRange, ConfigError, GridMismatch, NegativeDensity
+from .errors import ConfigError, GridMismatch
 from .special import ball_volume, gamma, sphere_surface
 
 
 def riesz_constant(n: int, alpha: float) -> float:
     """Normalisation c(n, alpha) of the Riesz kernel; requires 0 < alpha < n."""
     if not 0.0 < alpha < n:
-        raise AlphaOutOfRange(f"alpha must lie in (0, {n}), got {alpha}")
+        raise ConfigError(f"alpha must lie in (0, {n}), got {alpha}")
     return (
         math.pi ** (-n / 2.0)
         * 2.0**-alpha
@@ -597,7 +597,7 @@ def _convolve(f: GridField, *families: tuple[float, object]) -> list[GridField]:
     padded spectrum nor a product with a hat is ever held whole above it.
     """
     if f.values.min() < 0.0:  # a GridField holds no NaN
-        raise NegativeDensity("potential of a signed density is not defined here")
+        raise ConfigError("potential of a signed density is not defined here")
     g = f.grid
     products = [
         _hat_product(hat, odd, g.N)

@@ -23,9 +23,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .capacity import c1_threshold, wolff_ratio_and_potential
-from .core import Grid, GridField, Measure, Parameters, VectorGridField, squared_norm
+from .core import Grid, GridField, Measure, Parameters, VectorGridField, squared_norm, sup_ratio
 from .diagnostics import decay_fit, positivity_check
-from .errors import Diverged, NotAdmissible, ThetaOutOfRange
+from .errors import ConfigError, Diverged, NotAdmissible
 from .fraclap import default_test_functions, weak_residual
 from .riesz import (
     gradient_comparison_constant,
@@ -69,7 +69,7 @@ class ConstantsLedger:
 
 def constants_ledger(params: Parameters, theta: float) -> ConstantsLedger:
     if not 0.0 < theta < 1.0:
-        raise ThetaOutOfRange(f"theta {theta} outside (0, 1)")
+        raise ConfigError(f"theta {theta} outside (0, 1)")
     q = params.q
     qp = params.p
     c0 = gradient_comparison_constant(params.n, params.s)
@@ -136,18 +136,14 @@ def representation_residual(
 
 
 def sandwich_check(u: GridField, u0: GridField) -> tuple[bool, float]:
-    """Lower bound u >= u0 = I_2s(omega) pointwise, and the measured upper ratio."""
-    lower_ok = bool(np.all(u.values >= u0.values - 1e-10))
-    keep = u0.values >= 1e-14
-    upper = float(np.max(u.values[keep] / u0.values[keep])) if keep.any() else 1.0
-    return lower_ok, upper
+    """Lower bound u >= u0 = I_2s(omega) within 1e-10 max u0, and the measured sup u / u0."""
+    lower_ok = bool(np.all(u.values >= u0.values - 1e-10 * np.max(u0.values)))
+    return lower_ok, sup_ratio(u.values, u0.values, 1.0)
 
 
 def gradient_bound_check(grad_u: VectorGridField, v: GridField) -> float:
-    """max |grad u| / v over points where v = I_{2s-1}(omega) lives."""
-    mag = grad_u.magnitude().values
-    keep = v.values >= 1e-14
-    return float(np.max(mag[keep] / v.values[keep])) if keep.any() else 0.0
+    """sup |grad u| / v, with v = I_{2s-1}(omega), over the cells sup_ratio keeps."""
+    return sup_ratio(grad_u.magnitude().values, v.values, 0.0)
 
 
 def run_checks(

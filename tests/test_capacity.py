@@ -20,14 +20,7 @@ from fracpot import (
     sphere_surface,
     wolff_ratio,
 )
-from fracpot.errors import (
-    AlphaOutOfRange,
-    ConfigError,
-    EmptySet,
-    NotConverged,
-    ThetaOutOfRange,
-    ZeroMeasure,
-)
+from fracpot.errors import ConfigError, NotConverged
 from oracles import capacity_qp_oracle, paper_ball_candidate
 
 PARAMS = Parameters(2, 0.75, 2.0)
@@ -54,7 +47,7 @@ def test_ball_bound_degenerate_radius():
 
 
 def test_ball_bound_rejects_alpha_outside_range():
-    with pytest.raises(AlphaOutOfRange):
+    with pytest.raises(ConfigError, match=r"^alpha=2\.0 outside \(0, 2\)$"):
         ball_capacity_upper(2, 2.0, 2.0, 1.0)
 
 
@@ -290,7 +283,7 @@ def test_estimate_raises_when_the_budget_runs_out():
 
 def test_estimate_rejects_empty_or_mismatched_mask():
     g = Grid(2, 4.0, 32)
-    with pytest.raises(EmptySet):
+    with pytest.raises(ConfigError, match="^capacity of the empty set is trivially zero$"):
         estimate_capacity(np.zeros(g.shape, dtype=bool), 0.5, 2.0, g)
     with pytest.raises(ConfigError):
         estimate_capacity(np.zeros((4, 4), dtype=bool), 0.5, 2.0, g)
@@ -306,7 +299,7 @@ def test_estimate_refuses_an_exponent_outside_one_to_infinity(p):
         lambda: estimate_ball_capacity(np.zeros(2), 1.0, 0.5, p, g),
         lambda: ball_capacity_upper(2, 0.5, p, 1.0),
     ):
-        with pytest.raises(ValueError, match=rf"1 < p < inf, got p={p}$"):
+        with pytest.raises(ConfigError, match=rf"1 < p < inf, got p={p}$"):
             estimate()
 
 
@@ -319,6 +312,26 @@ def test_admissibility_ratio_exactly_homogeneous():
     for t in (0.5, 2.0):
         scaled = wolff_ratio(om.scaled(t), PARAMS, g).c1_hat
         assert abs(scaled - t ** (PARAMS.q - 1.0) * base) <= 1e-8 * base
+
+
+def test_admissibility_ratio_homogeneous_down_to_a_tiny_datum():
+    # the cells the sup runs over are chosen relative to max I_{2s-1}(omega),
+    # so a datum far below any absolute floor is measured like the unit one
+    g = Grid(2, 8.0, 32)
+    om = Measure.uniform_ball(np.zeros(2), 1.0, 1.0)
+    base = wolff_ratio(om, PARAMS, g).c1_hat
+    t = 1e-16
+    tiny = wolff_ratio(om.scaled(t), PARAMS, g).c1_hat
+    assert abs(tiny - t ** (PARAMS.q - 1.0) * base) <= 1e-12 * tiny
+
+
+def test_admissibility_ratio_refuses_a_datum_too_small_to_measure():
+    # below about 1e-162 the q-th power of I_{2s-1}(omega) underflows to 0 in
+    # every cell: the ratio is refused, not reported as 0
+    g = Grid(2, 8.0, 32)
+    om = Measure.uniform_ball(np.zeros(2), 1.0, 1e-300)
+    with pytest.raises(ConfigError, match="^admissibility ratio underflows"):
+        wolff_ratio(om, PARAMS, g)
 
 
 def test_admissibility_ratio_reference_value():
@@ -349,7 +362,7 @@ def test_admissibility_ratio_diverges_for_atoms():
 
 def test_admissibility_rejects_zero_measure_and_tight_box():
     g = Grid(2, 8.0, 128)
-    with pytest.raises(ZeroMeasure):
+    with pytest.raises(ConfigError, match="^admissibility ratio of the zero measure$"):
         wolff_ratio(Measure.from_atoms(np.zeros((0, 2)), np.zeros(0)), PARAMS, g)
     wide = Measure.uniform_ball(np.zeros(2), 2.5, 1.0)
     with pytest.raises(ConfigError):
@@ -377,5 +390,5 @@ def test_scaling_rejects_theta_outside_unit_interval():
     g = Grid(2, 8.0, 128)
     om = Measure.uniform_ball(np.zeros(2), 1.0, 1.0)
     for theta in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ThetaOutOfRange):
+        with pytest.raises(ConfigError, match=r"^target theta .* outside \(0, 1\)$"):
             scale_measure_admissible(om, theta, PARAMS, g)

@@ -232,6 +232,50 @@ def test_threads_below_one_is_a_config_error(capsys):
     assert "worker count" in capsys.readouterr().err
 
 
+_CAPACITY = ["capacity", "--alpha", "0.5", "--p", "2", "--N", "16"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["capacity", "--alpha", "abc", "--p", "2", "--ball", "0,0,1"], 1),
+        (["solve"], 1),
+        (["frobnicate"], 1),
+        ([], 1),
+        (["--threads", "two", "constants", "--n", "2", "--s", "0.75", "--q", "2"], 1),
+        ([*_CAPACITY, "--ball", "0,0,x"], 1),
+        ([*_CAPACITY, "--sweep", "a,b"], 1),
+        (_CAPACITY, 1),
+        ([*_CAPACITY, "--ball", "0,0,1", "--sweep", "0.5,1"], 1),
+        (["constants", "--n", "2", "--s", "0.75", "--q", "1.2"], 1),
+        (["--threads", "0", "constants", "--n", "2", "--s", "0.75", "--q", "2"], 1),
+        (["solve", "--config", "{raw}", "--out", "{tmp}/o"], 2),
+        (["wolff", "--config", "{tmp}/missing.json"], 4),
+        (["verify", "--config", "{cfg}", "--fields", "{truncated}"], 5),
+    ],
+    ids=["bad-float", "no-config", "unknown-command", "no-command", "bad-int", "ball-not-numbers",
+         "sweep-not-numbers", "no-target", "two-targets", "subcritical-q", "no-threads",
+         "inadmissible", "missing-config", "truncated-field"],
+)
+def test_refused_input_exits_with_its_code_and_one_error_line(solved, tmp_path, capsys,
+                                                               argv, code):
+    # usage errors included: argparse's own exit 2 is the code of a datum
+    # that is not admissible.  No refusal prints a traceback or a usage text
+    cfg, out = solved
+    truncated = tmp_path / "truncated"
+    truncated.mkdir()
+    for path in out.glob("*.field*"):
+        (truncated / path.name).write_bytes(path.read_bytes())
+    (truncated / "u.field").write_bytes((out / "u.field").read_bytes()[:1001])
+    raw = _write_config(tmp_path / "raw.json")
+    argv = [a.format(cfg=cfg, raw=raw, tmp=tmp_path, truncated=truncated) for a in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_solve_without_scaling_is_inadmissible(tmp_path, capsys):
     cfg = _write_config(tmp_path / "raw.json")
     rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -487,22 +531,29 @@ def test_verify_rejects_a_stored_atom_without_a_weight(solved, tmp_path, capsys)
                           "amplitude": float("nan"), "support_radius": 1.0}, 1),
         ("u.field.json", {"n": 2, "N": 128, "L": float("inf")}, 5),
         ("u.field.json", {"n": 2, "N": 128, "L": float("nan")}, 5),
+        ("u.field", bytes(1000), 5),
+        ("u.field", bytes(1001), 5),
     ],
     ids=["string-amplitude", "string-N", "float-n", "string-L", "bare-number",
          "one-cell", "negative-L", "zero-n", "not-json", "nan-amplitude", "infinite-L",
-         "nan-L"],
+         "nan-L", "short-field", "truncated-field"],
 )
 def test_verify_rejects_a_malformed_stored_input(solved, tmp_path, capsys, name, content, code):
     # neither parsed from a string, truncated, nor a traceback; a bad
     # sidecar, impossible grids and text that is not JSON included, is
-    # named in the message.  A str content is the file's text as it stands
+    # named in the message.  A str content is the file's text as it stands,
+    # a bytes content its bytes: a field file whose size does not match its
+    # sidecar, a multiple of 8 bytes or not
     cfg, out = solved
     fields = tmp_path / "fields"
     fields.mkdir()
     for path in out.glob("*.field*"):
         (fields / path.name).write_bytes(path.read_bytes())
     (fields / "measure.json").write_bytes((out / "measure.json").read_bytes())
-    (fields / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    if isinstance(content, bytes):
+        (fields / name).write_bytes(content)
+    else:
+        (fields / name).write_text(content if isinstance(content, str) else json.dumps(content))
     assert main(["verify", "--config", str(cfg), "--fields", str(fields)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -645,7 +696,7 @@ def test_capacity_rejects_malformed_ball(capsys):
     assert rc == 1
 
 
-@pytest.mark.parametrize("ball", ["0,1", "0,0,0,1"])
+@pytest.mark.parametrize("ball", ["0,1", "0,0,0,1", "0,0,x"])
 def test_capacity_ball_needs_n_coordinates_and_a_radius(capsys, ball):
     rc = main(["capacity", "--alpha", "0.5", "--p", "2.0", "--N", "16", "--ball", ball])
     assert rc == 1

@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from fracpot import Grid, GridField, Measure, Parameters, ball_mask
 from fracpot.core import squared_norm
-from fracpot.errors import (
-    DimensionTooLow,
-    GridMismatch,
-    NegativeDensity,
-    OrderOutOfRange,
-    SubcriticalExponent,
-)
+from fracpot.errors import ConfigError, GridMismatch
 
 
 def test_parameters_derived_exponents():
@@ -26,21 +20,21 @@ def test_parameters_derived_exponents():
 
 
 def test_parameters_rejects_low_dimension():
-    with pytest.raises(DimensionTooLow):
+    with pytest.raises(ConfigError, match="^need n > 2s with n >= 2"):
         Parameters(1, 0.75, 2.0)
 
 
 def test_parameters_rejects_order_outside_half_one():
     for s in (0.5, 1.0, 0.0, 1.3):
-        with pytest.raises(OrderOutOfRange):
+        with pytest.raises(ConfigError, match=r"^s must lie in \(1/2, 1\)"):
             Parameters(2, s, 2.0)
 
 
 def test_parameters_rejects_subcritical_exponent():
     # threshold is p_star = n / (n - 2s + 1); equality is also rejected
-    with pytest.raises(SubcriticalExponent):
+    with pytest.raises(ConfigError, match=r"^q must exceed n/\(n-2s\+1\)"):
         Parameters(2, 0.75, 1.2)
-    with pytest.raises(SubcriticalExponent):
+    with pytest.raises(ConfigError, match=r"^q must exceed n/\(n-2s\+1\)"):
         Parameters(2, 0.75, 4.0 / 3.0)
     Parameters(2, 0.75, 4.0 / 3.0 + 1e-9)
 
@@ -101,9 +95,9 @@ def test_grid_radii_match_coordinates():
 
 
 def test_grid_rejects_bad_sizes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^box half-width must be positive$"):
         Grid(2, -1.0, 64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^need at least two cells per axis$"):
         Grid(2, 8.0, 0)
 
 
@@ -116,12 +110,12 @@ def test_atomic_measure_mass_and_ball_counts():
 
 
 def test_atomic_measure_rejects_negative_weights():
-    with pytest.raises(NegativeDensity):
+    with pytest.raises(ConfigError, match="^atom weights must be nonnegative$"):
         Measure.from_atoms(np.zeros((1, 2)), np.array([-1.0]))
 
 
 def test_atomic_measure_rejects_atoms_outside_declared_support():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^an atom lies outside the declared support ball$"):
         Measure.from_atoms(np.array([[2.0, 0.0]]), np.ones(1), support_radius=1.0)
 
 
@@ -147,14 +141,14 @@ def test_density_measure_round_trip_mass():
 
 def test_density_measure_rejects_mass_beyond_support():
     g = Grid(2, 4.0, 64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^density has mass outside the declared support ball$"):
         Measure.from_density(GridField(g, np.ones(g.shape)), support_radius=1.0)
 
 
 def test_as_density_refuses_atoms():
     g = Grid(2, 4.0, 64)
     om = Measure.from_atoms(np.array([[0.2, -0.7]]), np.array([3.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^atomic measures are evaluated analytically"):
         om.as_density(g)
 
 

@@ -17,7 +17,7 @@ from fracpot import (
     riesz_constant,
     riesz_potential_measure,
 )
-from fracpot.errors import AnnulusEmpty, KappaOutOfRange
+from fracpot.errors import AnnulusEmpty, ConfigError
 
 from oracles import atom_level_window, quasinorm_grid_value
 
@@ -58,7 +58,7 @@ def test_quasinorm_is_homogeneous(atom_potential):
 def test_quasinorm_rejects_kappa_at_or_below_one():
     g = Grid(2, 4.0, 32)
     for kappa in (1.0, 0.5, -2.0):
-        with pytest.raises(KappaOutOfRange):
+        with pytest.raises(ConfigError, match="must exceed 1$"):
             marcinkiewicz_quasinorm(g.zeros(), kappa, 0.75)
 
 

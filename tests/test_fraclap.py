@@ -19,7 +19,8 @@ from fracpot import (
     riesz_potential_measure,
     weak_residual,
 )
-from fracpot.errors import BoundaryLeak, GridMismatch
+from fracpot.errors import ConfigError, GridMismatch
+from fracpot.riesz import riesz_potential_and_gradient_measure
 
 from oracles import fraclap_gaussian_periodized
 
@@ -69,14 +70,14 @@ def test_spectral_operator_zero_field():
 
 def test_spectral_operator_rejects_boundary_leak():
     g = Grid(2, 8.0, 64)
-    with pytest.raises(BoundaryLeak):
+    with pytest.raises(ConfigError, match="^boundary amplitude"):
         fractional_laplacian_spectral(_narrow_gaussian(g, 6.0), 0.75)
 
 
 def test_spectral_operator_rejects_bad_order():
     g = Grid(2, 8.0, 64)
     for s in (-0.1, 1.1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^spectral order s must lie in \[0, 1\]"):
             fractional_laplacian_spectral(_narrow_gaussian(g, 0.5), s)
 
 
@@ -94,7 +95,7 @@ def test_spectral_operator_self_adjoint_and_nonnegative():
 
 
 def test_test_function_rejects_bad_width():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^test function width must be positive$"):
         TestFunction((0.0, 0.0), -1.0)
 
 
@@ -173,3 +174,18 @@ def test_weak_residual_detects_wrong_solution():
     wrong = GridField(g, 2.0 * u0.values)
     phi = default_test_functions(g)[0]
     assert weak_residual(wrong, None, om, params, [phi])[0] >= 0.3
+
+
+def test_weak_residual_does_not_depend_on_the_datum_scale():
+    # the identity is linear in (u, omega) but for the |grad u|^q term,
+    # which is t^(q-1) of the others: a tiny datum's residual is a relative
+    # defect like any other, not its bare defect
+    g = Grid(2, 8.0, 32)
+    params = Parameters(2, 0.75, 2.0)
+    residuals = []
+    for t in (1e-16, 1e-8):
+        om = Measure.uniform_ball(np.zeros(2), 1.0, t)
+        u, grad = riesz_potential_and_gradient_measure(om, params.s, g)
+        residuals.append(weak_residual(u, grad, om, params, default_test_functions(g)))
+    assert min(residuals[1]) > 1e-3
+    assert residuals[0] == pytest.approx(residuals[1], rel=1e-6)

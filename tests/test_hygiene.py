@@ -122,3 +122,53 @@ def test_only_io_parses_json():
         for name in _json_parsers(tree)
     }
     assert not parsers, f"JSON parsed outside io.read_json: {sorted(parsers)}"
+
+
+def _except_names(tree: ast.Module) -> set[str]:
+    """The exception names a module's except clauses catch."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names.update(c.id for c in caught if isinstance(c, ast.Name))
+    return names
+
+
+def test_every_error_class_is_told_apart():
+    # a class exists only where some code tells it apart: the CLI maps it to
+    # an exit code, or an except clause catches it; any other refused input
+    # is a ConfigError
+    from fracpot.cli import _EXIT_CODES
+
+    defined = {node.name for node in TREES["errors.py"].body if isinstance(node, ast.ClassDef)}
+    mapped = {kind.__name__ for kind, _ in _EXIT_CODES}
+    assert "ConfigError" in mapped
+    unused = defined - mapped.union(*map(_except_names, TREES.values()))
+    assert not unused, f"error classes nothing tells apart: {sorted(unused)}"
+
+
+def _value_error_raises(node: ast.AST, scope: str) -> list[str]:
+    """The scopes (Class.function) that raise ValueError under node, one entry per raise."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += _value_error_raises(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                found.append(scope)
+        found += _value_error_raises(child, scope)
+    return found
+
+
+def test_no_bare_value_error_on_outside_input():
+    # the CLI turns fracpot's errors into exit codes and lets any other
+    # exception show its traceback, so a refused input raises ConfigError;
+    # the two invariants of a CapacityEstimate are checks of the program itself
+    raised = sorted(
+        f"{module}:{scope}"
+        for module, tree in TREES.items()
+        for scope in _value_error_raises(tree, "")
+    )
+    assert raised == ["capacity.py:CapacityEstimate.__post_init__"] * 2

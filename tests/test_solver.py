@@ -17,7 +17,7 @@ from fracpot import (
     riesz_potential_measure,
     sandwich_check,
 )
-from fracpot.errors import NotAdmissible, ThetaOutOfRange
+from fracpot.errors import ConfigError, NotAdmissible
 
 PARAMS = Parameters(2, 0.75, 2.0)
 
@@ -63,7 +63,7 @@ def test_ledger_gradient_limit_approaches_two_c0():
 
 def test_ledger_rejects_theta_outside_unit_interval():
     for theta in (0.0, 1.0, -1.0, 1.5):
-        with pytest.raises(ThetaOutOfRange):
+        with pytest.raises(ConfigError, match=r"^theta .* outside \(0, 1\)$"):
             constants_ledger(PARAMS, theta)
 
 
