@@ -76,8 +76,8 @@ def ball_capacity_upper(n: int, alpha: float, p: float, r: float) -> float:
     if not 0.0 < alpha < n:
         raise ConfigError(f"alpha={alpha} outside (0, {n})")
     _check_exponent(p)
-    if r < 0.0:
-        raise ConfigError("radius must be nonnegative")
+    if not 0.0 <= r < np.inf:
+        raise ConfigError(f"radius must be nonnegative and finite, got {r}")
     if r == 0.0:
         return 0.0
     c = riesz_constant(n, alpha)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
+import math
 import resource
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -43,6 +43,7 @@ from .errors import (
 )
 from .io import (
     dump_report,
+    json_text,
     measure_from_dict,
     read_field,
     read_json,
@@ -178,13 +179,13 @@ def _write_run_meta(outdir: Path, args_threads: int | None) -> None:
         "plan_cache_bytes": plan_cache_bytes(),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
-    (outdir / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    dump_report(meta, outdir / "run_meta.json")
 
 
 def cmd_constants(args) -> int:
     params = Parameters(n=args.n, s=args.s, q=args.q)
     theta = _CONFIG["theta"][1] if args.theta is None else args.theta
-    print(json.dumps(asdict(constants_ledger(params, theta)), indent=2, sort_keys=True))
+    print(json_text(asdict(constants_ledger(params, theta))), end="")
     return 0
 
 
@@ -218,7 +219,7 @@ def cmd_wolff(args) -> int:
         _, report = scale_measure_admissible(sc.measure, sc.theta, sc.params, sc.grid)
     else:
         report = wolff_ratio(sc.measure, sc.params, sc.grid)
-    print(json.dumps(asdict(report), indent=2, sort_keys=True))
+    print(json_text(asdict(report)), end="")
     return 0
 
 
@@ -264,7 +265,7 @@ def cmd_capacity(args) -> int:
             raise ConfigError(f"a ball needs {grid.n} center coordinates and a radius")
         est = estimate_ball_capacity(tuple(center), radius, args.alpha, args.p, grid)
     payload = {f.name: getattr(est, f.name) for f in fields(est) if f.name != "candidate"}
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json_text(payload), end="")
     if args.out:
         dump_report(payload, _outdir(args.out) / "capacity.json")
     return 0
@@ -310,13 +311,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _numbers(text: str) -> list[float]:
-    """The value of --ball or --sweep: comma-separated numbers."""
+def _number(text: str) -> float:
+    """A finite number; float() alone also reads nan and inf."""
     try:
-        return [float(x) for x in text.split(",")]
+        value = float(text)
     except ValueError:
-        message = f"expected comma-separated numbers, not {text!r}"
-        raise argparse.ArgumentTypeError(message) from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, not {text!r}")
+    return value
+
+
+def _numbers(text: str) -> list[float]:
+    """The value of --ball or --sweep: comma-separated finite numbers."""
+    return [_number(x) for x in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,14 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     config.add_argument("--config", required=True)
     fields_in.add_argument("--fields", required=True)
     out.add_argument("--out", default=None)
-    theta.add_argument("--theta", type=float, default=None,
+    theta.add_argument("--theta", type=_number, default=None,
                        help="default: the config's theta if it has one, else 0.5")
     scale.add_argument("--auto-scale", action="store_true")
 
     p = sub.add_parser("constants", parents=[theta], help="print the constants ledger")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
+    p.add_argument("--s", type=_number, required=True)
+    p.add_argument("--q", type=_number, required=True)
     p.set_defaults(func=cmd_constants)
     sub.add_parser("solve", parents=[config, out, theta, scale],
                    help="run the Picard iteration from a config").set_defaults(func=cmd_solve)
@@ -351,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capacity", parents=[out], help="estimate a Riesz capacity")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--L", type=float, default=None,
+    p.add_argument("--alpha", type=_number, required=True)
+    p.add_argument("--p", type=_number, required=True)
+    p.add_argument("--L", type=_number, default=None,
                    help="box half-width for --ball and --mask-file (default: 4)")
     p.add_argument("--N", type=int, default=128)
     target = p.add_mutually_exclusive_group(required=True)

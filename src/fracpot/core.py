@@ -39,9 +39,9 @@ class Parameters:
         if self.n < 2 or self.n <= 2.0 * self.s:
             raise ConfigError(f"need n > 2s with n >= 2, got n={self.n}, s={self.s}")
         p_star = self.n / (self.n - 2.0 * self.s + 1.0)
-        if self.q <= p_star:
+        if not p_star < self.q < np.inf:
             raise ConfigError(
-                f"q must exceed n/(n-2s+1) = {p_star:.6g}, got q={self.q}"
+                f"q must exceed n/(n-2s+1) = {p_star:.6g} and be finite, got q={self.q}"
             )
         object.__setattr__(self, "p", self.q / (self.q - 1.0))
         object.__setattr__(self, "p_star", p_star)
@@ -83,6 +83,8 @@ class Grid:
             raise ConfigError("need at least two cells per axis")
         if not self.L > 0.0:
             raise ConfigError("box half-width must be positive")
+        if not self.L < np.inf:
+            raise ConfigError(f"box half-width must be finite, got {self.L}")
 
     @property
     def h(self) -> float:

@@ -1,10 +1,11 @@
 """File formats: field binaries with JSON sidecars, measure files and reports.
 
 A field file is raw little-endian float64 in row-major order; its sidecar
-(<name>.json) records {"n", "N", "L"}.  Reports are serialised with sorted
-keys and no timestamps so repeated runs produce byte-identical files.
-Every JSON file the program reads is parsed by read_json and checked by
-read_object.
+(<name>.json) records {"n", "N", "L"}.  Every JSON document the program
+writes, file or standard output, is formatted by json_text: sorted keys,
+so repeated runs produce byte-identical reports (run_meta.json, with its
+timestamp, aside), and never NaN or Infinity, which are not JSON.  Every
+JSON file the program reads is parsed by read_json and checked by read_object.
 """
 
 from __future__ import annotations
@@ -24,11 +25,16 @@ def sidecar_path(path: Path | str) -> Path:
     return path.with_name(path.name + ".json")
 
 
+def json_text(document, indent: int | None = 2) -> str:
+    """document as JSON with sorted keys and a trailing newline; NaN and infinities raise ValueError."""
+    return json.dumps(document, sort_keys=True, indent=indent, allow_nan=False) + "\n"
+
+
 def write_field(field: GridField, path: Path | str) -> None:
     path = Path(path)
     path.write_bytes(field.values.astype("<f8").tobytes(order="C"))
     meta = {"n": field.grid.n, "N": field.grid.N, "L": field.grid.L}
-    sidecar_path(path).write_text(json.dumps(meta, sort_keys=True) + "\n")
+    sidecar_path(path).write_text(json_text(meta, indent=None))
 
 
 _JSON_TYPES = {int: "integer", float: "number", str: "string", list: "list", dict: "object"}
@@ -169,7 +175,7 @@ def write_measure(measure: Measure, path: Path | str) -> None:
     if measure.kind == "density":
         density_file = path.stem + ".density.field"
         write_field(measure.density, path.parent / density_file)
-    path.write_text(json.dumps(measure_to_dict(measure, density_file), sort_keys=True, indent=2) + "\n")
+    dump_report(measure_to_dict(measure, density_file), path)
 
 
 def read_measure(path: Path | str) -> Measure:
@@ -178,5 +184,5 @@ def read_measure(path: Path | str) -> Measure:
 
 
 def dump_report(report: dict, path: Path | str) -> None:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    Path(path).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    """report as json_text: deterministic JSON, indented by 2."""
+    Path(path).write_text(json_text(report))

@@ -16,9 +16,10 @@ without any tuning knob: for the scalar kernel
 and 0 for the odd gradient kernel.  The same definition gives the padded
 kernels of the grid convolution, the exact kernel sums of atomic measures,
 which never touch the grid, and the samples atom_quadrature_correction
-trades for cell averages.  Where the displacements are exact multiples of h
-(a dyadic grid), a unit atom at a cell center reproduces the convolution
-kernel bit for bit.
+trades for exact cell averages; those come from one formula, a product of
+per-axis erf differences under one integral (_cell_averages).  Where the
+displacements are exact multiples of h (a dyadic grid), a unit atom at a
+cell center reproduces the convolution kernel bit for bit.
 
 Every other measure is rasterised and convolved, in one free-space
 convolution on the grid padded to 2N points per axis, by numpy.fft
@@ -68,12 +69,10 @@ def riesz_constant(n: int, alpha: float) -> float:
     """Normalisation c(n, alpha) of the Riesz kernel; requires 0 < alpha < n."""
     if not 0.0 < alpha < n:
         raise ConfigError(f"alpha must lie in (0, {n}), got {alpha}")
-    return (
-        math.pi ** (-n / 2.0)
-        * 2.0**-alpha
-        * gamma((n - alpha) / 2.0)
-        / gamma(alpha / 2.0)
-    )
+    try:
+        return math.pi ** (-n / 2.0) * 2.0**-alpha * gamma((n - alpha) / 2.0) / gamma(alpha / 2.0)
+    except OverflowError:
+        raise ConfigError(f"c(n, alpha) overflows a float at n={n}, alpha={alpha}") from None
 
 
 def gradient_comparison_constant(n: int, s: float) -> float:
@@ -99,81 +98,39 @@ def singular_cell_average(grid: Grid, alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exact cell averages of the kernel near its singularity.  The integral of
-# |y|^(alpha - n) over a box [0, A_1] x ... x [0, A_n] with the singularity at
-# a corner splits into n pyramids with apex at the origin, one per far face
-# {y_k = A_k}.  Duffy's substitution y = t p, p on that face, turns each into
-#
-#     (A_k / alpha) * integral_face |p|^(alpha - n) dS(p),
-#
-# which has no singularity left; the face integrand is only near-singular at
-# the corner closest to the origin, on the scale A_k, so each face axis gets
-# composite Gauss-Legendre graded geometrically away from that corner.  Any
-# other box is a signed sum over its 2^n corners of such corner boxes (the
-# integrand is even in every coordinate), which amounts to splitting a cell
-# at the singularity.  Boxes at least one side length away from the
-# singularity take plain tensor Gauss-Legendre instead, where the corner sum
-# would cancel.
+# Exact cell averages of the kernel.  With a = (n - alpha)/2, |y|^(-2a) =
+# Gamma(a)^-1 integral_0^inf t^(a-1) e^(-t|y|^2) dt, and the Gaussian's
+# integral over a box is a product over the axes of
+# sqrt(pi) / (2 sqrt t) (erf(sqrt t hi) - erf(sqrt t lo)).  On a unit cell the
+# product tends to 1 as t -> 0; subtracting e^(-t), whose integral is
+# Gamma(a), leaves an integrand that decays like t^(a+1) there and like
+# t^(-alpha/2) as t -> inf, wherever the singularity sits.  In tau = log t it
+# is analytic in the strip |Im tau| < pi/2, so the trapezoidal rule in tau
+# integrates it to rounding (Trefethen and Weideman, SIAM Rev. 56, 2014).
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-_GRADING_RATIO = 4.0
+_erf = np.frompyfunc(math.erf, 1, 1)  # numpy has no erf
 
 
-def _graded_rule(length: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre on [0, length], panels [0, scale], [scale, 4 scale], ..."""
-    breaks = [0.0]
-    b = scale
-    while b < length:
-        breaks.append(b)
-        b *= _GRADING_RATIO
-    breaks.append(length)
-    lo = np.array(breaks[:-1])[:, None]
-    half = 0.5 * np.diff(breaks)[:, None]
-    return (lo + half * (_GL_NODES + 1.0)).ravel(), (half * _GL_WEIGHTS).ravel()
+def _cell_averages(n: int, alpha: float, edges) -> np.ndarray:
+    """Averages of c(n, alpha) |y|^(alpha - n) over the unit cells between consecutive edges.
 
-
-def _tensor_sum(rules: list[tuple[np.ndarray, np.ndarray]], integrand) -> float:
-    """Tensor-product quadrature: rules[j] holds the nodes and weights of axis j."""
-    nodes = np.meshgrid(*[r[0] for r in rules], indexing="ij", sparse=True)
-    weights = np.ones(())
-    for _, w in rules:
-        weights = np.multiply.outer(weights, w)
-    return float(np.sum(weights * integrand(nodes)))
-
-
-def _corner_box_integral(extent: np.ndarray, alpha: float) -> float:
-    """Integral of |y|^(alpha - n) over [0, extent_1] x ... x [0, extent_n]."""
-    n = extent.size
-    if np.min(extent) <= 0.0:
-        return 0.0
-    total = 0.0
-    for k in range(n):
-        ak = float(extent[k])
-        rules = [_graded_rule(float(extent[j]), ak) for j in range(n) if j != k]
-        face = _tensor_sum(
-            rules, lambda p: (ak * ak + sum(x * x for x in p)) ** ((alpha - n) / 2.0)
-        )
-        total += ak / alpha * face
-    return total
-
-
-def _box_integral(lo: np.ndarray, hi: np.ndarray, alpha: float) -> float:
-    """Integral of |y|^(alpha - n) over the box [lo, hi]."""
-    n = lo.size
-    gap = np.sqrt(np.sum(np.maximum(np.maximum(lo, -hi), 0.0) ** 2))
-    if gap >= np.max(hi - lo):
-        half = 0.5 * (hi - lo)
-        rules = [
-            (lo[j] + half[j] * (_GL_NODES + 1.0), half[j] * _GL_WEIGHTS) for j in range(n)
-        ]
-        return _tensor_sum(rules, lambda y: sum(x * x for x in y) ** ((alpha - n) / 2.0))
-    total = 0.0
-    for upper in np.ndindex(*(2,) * n):
-        corner = np.where(upper, hi, lo)
-        sign = np.prod(np.where(upper, 1.0, -1.0) * np.sign(corner))
-        if sign != 0.0:
-            total += sign * _corner_box_integral(np.abs(corner), alpha)
-    return total
+    edges holds one increasing array per axis, consecutive entries 1 apart;
+    the result has one entry per cell, len(edges[i]) - 1 along axis i.
+    """
+    c = riesz_constant(n, alpha)
+    a = (n - alpha) / 2.0
+    step = 0.25
+    tau = np.arange(-40.0, 90.0 / alpha, step)
+    t = np.exp(tau)
+    # the product times t^(a-1) dt = e^(a tau) d tau, with t^(n/2) moved into
+    # the erf differences so that no factor overflows
+    total = step * np.exp(-0.5 * alpha * tau)
+    for i, e in enumerate(edges):
+        erfs = _erf(np.sqrt(t)[:, None] * np.asarray(e, dtype=float)).astype(float)
+        factor = 0.5 * math.sqrt(math.pi) * np.diff(erfs, axis=1)
+        total = total[..., None] * factor.reshape(t.shape + (1,) * i + (-1,))
+    total -= (step * np.exp(a * tau - t)).reshape(t.shape + (1,) * n)
+    return c * (1.0 + total.sum(axis=0) / gamma(a))
 
 
 def riesz_cell_average(n: int, alpha: float, offset) -> float:
@@ -184,9 +141,8 @@ def riesz_cell_average(n: int, alpha: float, offset) -> float:
     its boundary or outside.  For cells of side h the average scales by
     homogeneity: multiply by h^(alpha - n).
     """
-    c = riesz_constant(n, alpha)
-    centre = np.asarray(offset, dtype=float).reshape(n)
-    return c * _box_integral(centre - 0.5, centre + 0.5, alpha)
+    edges = [[o - 0.5, o + 0.5] for o in np.reshape(offset, n)]
+    return _cell_averages(n, alpha, edges).item()
 
 
 # Half-width, in cells, of the block around an atom on which stored point
@@ -198,9 +154,7 @@ _ATOM_STENCIL_HALF_WIDTH = 3
 def _atom_stencil_averages(n: int, alpha: float, frac: tuple[float, ...]) -> np.ndarray:
     """riesz_cell_average over the stencil j in [-K, K]^n at offsets j - frac."""
     K = _ATOM_STENCIL_HALF_WIDTH
-    table = np.empty((2 * K + 1,) * n)
-    for idx in np.ndindex(*table.shape):
-        table[idx] = riesz_cell_average(n, alpha, np.array(idx) - K - np.array(frac))
+    table = _cell_averages(n, alpha, [np.arange(-K - 0.5, K + 1.0) - f for f in frac])
     table.setflags(write=False)
     return table
 

@@ -46,6 +46,12 @@ def test_ball_bound_degenerate_radius():
     assert ball_capacity_upper(2, 0.5, 2.0, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("r", [-1.0, np.inf, np.nan])
+def test_ball_bound_rejects_a_negative_or_non_finite_radius(r):
+    with pytest.raises(ConfigError, match="^radius must be nonnegative and finite"):
+        ball_capacity_upper(2, 0.5, 2.0, r)
+
+
 def test_ball_bound_rejects_alpha_outside_range():
     with pytest.raises(ConfigError, match=r"^alpha=2\.0 outside \(0, 2\)$"):
         ball_capacity_upper(2, 2.0, 2.0, 1.0)

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -249,12 +250,25 @@ _CAPACITY = ["capacity", "--alpha", "0.5", "--p", "2", "--N", "16"]
         ([*_CAPACITY, "--ball", "0,0,1", "--sweep", "0.5,1"], 1),
         (["constants", "--n", "2", "--s", "0.75", "--q", "1.2"], 1),
         (["--threads", "0", "constants", "--n", "2", "--s", "0.75", "--q", "2"], 1),
+        (["constants", "--n", "2", "--s", "0.75", "--q", "nan"], 1),
+        (["constants", "--n", "2", "--s", "0.75", "--q", "inf"], 1),
+        (["constants", "--n", "2", "--s", "nan", "--q", "2"], 1),
+        (["constants", "--n", "2", "--s", "0.75", "--q", "2", "--theta", "-inf"], 1),
+        (["constants", "--n", "400", "--s", "0.75", "--q", "2"], 1),
+        ([*_CAPACITY, "--ball", "0,0,inf"], 1),
+        ([*_CAPACITY, "--ball", "0,nan,1"], 1),
+        ([*_CAPACITY, "--L", "inf", "--ball", "0,0,1"], 1),
+        ([*_CAPACITY, "--sweep", "1,inf"], 1),
+        (["capacity", "--alpha", "nan", "--p", "2", "--ball", "0,0,1"], 1),
+        (["capacity", "--alpha", "0.5", "--p", "1e400", "--ball", "0,0,1"], 1),
         (["solve", "--config", "{raw}", "--out", "{tmp}/o"], 2),
         (["wolff", "--config", "{tmp}/missing.json"], 4),
         (["verify", "--config", "{cfg}", "--fields", "{truncated}"], 5),
     ],
     ids=["bad-float", "no-config", "unknown-command", "no-command", "bad-int", "ball-not-numbers",
          "sweep-not-numbers", "no-target", "two-targets", "subcritical-q", "no-threads",
+         "q-nan", "q-inf", "s-nan", "theta-minus-inf", "constant-overflows", "ball-radius-inf",
+         "ball-centre-nan", "L-inf", "sweep-inf", "alpha-nan", "p-overflows-to-inf",
          "inadmissible", "missing-config", "truncated-field"],
 )
 def test_refused_input_exits_with_its_code_and_one_error_line(solved, tmp_path, capsys,
@@ -274,6 +288,24 @@ def test_refused_input_exits_with_its_code_and_one_error_line(solved, tmp_path, 
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "option, argv",
+    [
+        ("--q", ["constants", "--n", "2", "--s", "0.75", "--q", "nan"]),
+        ("--theta", ["constants", "--n", "2", "--s", "0.75", "--q", "2", "--theta", "inf"]),
+        ("--L", [*_CAPACITY, "--L", "inf", "--ball", "0,0,1"]),
+        ("--ball", [*_CAPACITY, "--ball", "0,0,inf"]),
+        ("--sweep", [*_CAPACITY, "--sweep", "1,inf"]),
+    ],
+)
+def test_a_non_finite_number_is_refused_naming_its_option(capsys, option, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: argument {option}: ") and "finite" in err
 
 
 def test_solve_without_scaling_is_inadmissible(tmp_path, capsys):

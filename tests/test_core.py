@@ -39,6 +39,12 @@ def test_parameters_rejects_subcritical_exponent():
     Parameters(2, 0.75, 4.0 / 3.0 + 1e-9)
 
 
+@pytest.mark.parametrize("q", [np.nan, np.inf])
+def test_parameters_rejects_a_non_finite_exponent(q):
+    with pytest.raises(ConfigError, match=r"^q must exceed n/\(n-2s\+1\) = 1\.33333 and be finite, got q="):
+        Parameters(2, 0.75, q)
+
+
 def test_dist2_is_the_per_axis_sum_on_the_grid_and_on_blocks():
     g = Grid(3, 2.0, 8)
     x0 = np.array([0.3, -0.1, 0.7])
@@ -99,6 +105,11 @@ def test_grid_rejects_bad_sizes():
         Grid(2, -1.0, 64)
     with pytest.raises(ConfigError, match="^need at least two cells per axis$"):
         Grid(2, 8.0, 0)
+    for L in (np.nan, -np.inf):
+        with pytest.raises(ConfigError, match="^box half-width must be positive$"):
+            Grid(2, L, 64)
+    with pytest.raises(ConfigError, match="^box half-width must be finite, got inf$"):
+        Grid(2, np.inf, 64)
 
 
 def test_atomic_measure_mass_and_ball_counts():

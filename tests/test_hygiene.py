@@ -99,29 +99,39 @@ def test_every_global_name_is_defined(path):
     assert not undefined, f"{path.name} refers to undefined globals {sorted(undefined)}"
 
 
-def _json_parsers(tree: ast.Module) -> set[str]:
-    """The json.load and json.loads a module reads, as an attribute or by import."""
-    parsers = {"load", "loads"}
+def _json_functions(tree: ast.Module, wanted: set[str]) -> set[str]:
+    """The functions of json named in wanted that a module reads, as an attribute or by import."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in parsers:
+        if isinstance(node, ast.Attribute) and node.attr in wanted:
             if isinstance(node.value, ast.Name) and node.value.id == "json":
                 names.add(f"json.{node.attr}")
         elif isinstance(node, ast.ImportFrom) and node.module == "json":
-            names.update(f"json.{a.name}" for a in node.names if a.name in parsers)
+            names.update(f"json.{a.name}" for a in node.names if a.name in wanted)
     return names
+
+
+def _outside_io(wanted: set[str]) -> set[str]:
+    return {
+        f"{module}:{name}"
+        for module, tree in TREES.items()
+        if module != "io.py"
+        for name in _json_functions(tree, wanted)
+    }
 
 
 def test_only_io_parses_json():
     # every input file is parsed by io.read_json, so a missing or malformed
     # file meets one rule wherever it is read
-    parsers = {
-        f"{module}:{name}"
-        for module, tree in TREES.items()
-        if module != "io.py"
-        for name in _json_parsers(tree)
-    }
+    parsers = _outside_io({"load", "loads"})
     assert not parsers, f"JSON parsed outside io.read_json: {sorted(parsers)}"
+
+
+def test_only_io_writes_json():
+    # every JSON document is formatted by io.json_text, which refuses NaN and
+    # Infinity: json.dumps writes them by default, and they are not JSON
+    writers = _outside_io({"dump", "dumps"})
+    assert not writers, f"JSON written outside io.json_text: {sorted(writers)}"
 
 
 def _except_names(tree: ast.Module) -> set[str]:

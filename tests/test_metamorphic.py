@@ -13,12 +13,30 @@ everywhere keeps every symmetry, so one more relation changes the datum's
 representation instead: atoms at cell centres, summed exactly, and the
 same mass on their cells, convolved, sample one kernel at the same
 displacements.
+
+The Picard solver and the capacity estimator inherit these symmetries.  An
+off-centre ball, scaled onto the admissible range and solved, maps its u and
+grad u onto the solution of the reflected or axis-swapped ball (bound 1e-13
+of the largest value), and its weak residuals, as a set, onto those of the
+reflected ball: the test functions along axes 0 and 1 have different
+widths, so an axis swap does not map the family onto itself.  The capacity
+of a reflected ball mask is the same number, with the reflected candidate.
 """
 
 import numpy as np
 import pytest
 
-from fracpot import Grid, GridField, Measure, riesz_potential_field
+from fracpot import (
+    Grid,
+    GridField,
+    Measure,
+    Parameters,
+    estimate_capacity,
+    picard_solve,
+    riesz_potential_field,
+    scale_measure_admissible,
+)
+from fracpot.capacity import ball_mask
 from fracpot.riesz import riesz_potential_and_gradient_field, riesz_potential_and_gradient_measure
 
 BOUND = 1e-14
@@ -87,14 +105,15 @@ def _map_atoms(name: str, points: np.ndarray, grid: Grid) -> np.ndarray:
     return points
 
 
-def _assert_follows(name: str, mapped: np.ndarray, of_mapped: np.ndarray, scale: float) -> None:
+def _assert_follows(name: str, mapped: np.ndarray, of_mapped: np.ndarray, scale: float,
+                    bound: float = BOUND) -> None:
     """of_mapped (the output of the mapped datum) equals mapped (the mapped output).
 
     A translation is compared where both are defined: past the first SHIFT cells.
     """
     keep = (slice(SHIFT, None),) if name == "translation" else ()
     defect = float(np.max(np.abs(of_mapped[keep] - mapped[keep])))
-    assert defect <= BOUND * scale, f"{name}: defect {defect / scale:.2e} of the largest value"
+    assert defect <= bound * scale, f"{name}: defect {defect / scale:.2e} of the largest value"
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"n{g.n}-N{g.N}")
@@ -149,3 +168,59 @@ def test_atoms_at_cell_centres_and_their_cells_have_one_potential(grid):
     scale = max(float(np.max(np.abs(c.values))) for c in grad.components)
     for want, got in zip(grad.components, grad_f.components):
         _assert_follows("representation", want.values, got.values, scale)
+
+
+SOLVER_BOUND = 1e-13
+# off-centre balls on dyadic boxes: (grid, centre, radius)
+BALLS = [
+    (Grid(2, 8.0, 64), (0.5, 0.25), 1.0),  # centre (2h, h)
+    (Grid(3, 4.0, 16), (0.5, 0.25, 0.0), 0.4),  # centre (h, h/2, 0)
+]
+
+
+def _solve_ball(grid: Grid, centre, radius: float, checks=()):
+    params = Parameters(grid.n, S, 2.0)
+    ball = Measure.uniform_ball(np.array(centre), radius)
+    t, _ = scale_measure_admissible(ball, 0.5, params, grid)
+    return picard_solve(ball.scaled(t), params, grid, theta=0.5, checks=checks)
+
+
+BALL_IDS = [f"n{g.n}-N{g.N}" for g, *_ in BALLS]
+
+
+def _map_point(name: str, centre, grid: Grid) -> tuple:
+    return tuple(_map_atoms(name, np.array([centre], dtype=float), grid)[0])
+
+
+@pytest.mark.parametrize("grid, centre, radius", BALLS, ids=BALL_IDS)
+@pytest.mark.parametrize("name, scalar_map, vector_map", MAPS[:2], ids=MAP_IDS[:2])
+def test_picard_solution_follows_the_grid_symmetries(grid, centre, radius, name, scalar_map,
+                                                      vector_map):
+    u, grad, report = _solve_ball(grid, centre, radius)
+    u_m, grad_m, report_m = _solve_ball(grid, _map_point(name, centre, grid), radius)
+    assert report.converged and report_m.converged
+    _assert_follows(name, scalar_map(u.values), u_m.values, u.sup(), SOLVER_BOUND)
+    comps = [c.values for c in grad.components]
+    scale = max(float(np.max(np.abs(c))) for c in comps)
+    for want, got in zip(vector_map(comps), grad_m.components):
+        _assert_follows(name, want, got.values, scale, SOLVER_BOUND)
+
+
+@pytest.mark.parametrize("grid, centre, radius", BALLS, ids=BALL_IDS)
+def test_weak_residuals_follow_a_reflection(grid, centre, radius):
+    # each test function along axis 0 has its mirror image in the family
+    *_, report = _solve_ball(grid, centre, radius, checks=("weak",))
+    *_, report_m = _solve_ball(grid, _map_point("reflection", centre, grid), radius, checks=("weak",))
+    got = np.sort(report_m.checks["weak"]["residuals"])
+    want = np.sort(report.checks["weak"]["residuals"])
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+def test_capacity_of_a_reflected_ball_is_the_same():
+    grid, alpha, p = Grid(2, 4.0, 32), 0.5, 2.0
+    mask = ball_mask(grid, (0.5, 0.25), 1.0)
+    est = estimate_capacity(mask, alpha, p, grid)
+    est_m = estimate_capacity(_reflect(mask), alpha, p, grid)
+    assert abs(est_m.value - est.value) <= 1e-12 * est.value
+    candidate = est.candidate.values
+    assert np.max(np.abs(est_m.candidate.values - _reflect(candidate))) <= 1e-12 * np.max(candidate)

@@ -63,6 +63,11 @@ def test_constant_rejects_alpha_outside_zero_n():
     riesz_constant(3, 2.5)
 
 
+def test_constant_that_overflows_a_float_is_refused():
+    with pytest.raises(ConfigError, match=r"^c\(n, alpha\) overflows a float at n=400, alpha=1\.5$"):
+        riesz_constant(400, 1.5)
+
+
 def test_gradient_comparison_constant_is_kernel_ratio():
     for n, s in ((2, 0.75), (3, 0.8), (2, 0.6)):
         ref = (n - 2.0 * s) * riesz_constant(n, 2.0 * s) / riesz_constant(n, 2.0 * s - 1.0)
@@ -88,7 +93,11 @@ def test_singular_cell_average_closed_form():
     assert singular_cell_average(g, alpha) == pytest.approx(ref, rel=1e-14)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+# the rule's range of log t depends on alpha, so alpha varies too, at n = 2
+# only: a tplquad oracle cell takes about 2 s
+@pytest.mark.parametrize(
+    "n, alpha", [(2, 1.5), (3, 1.5), (2, 1.1), (2, 1.9)], ids=["2", "3", "2-alpha1.1", "2-alpha1.9"]
+)
 @pytest.mark.parametrize(
     "offset",
     [
@@ -99,11 +108,22 @@ def test_singular_cell_average_closed_form():
     ],
     ids=["far", "corner", "centre", "off-grid"],
 )
-def test_cell_average_matches_quadrature_oracle(n, offset):
-    alpha = 1.5
+def test_cell_average_matches_quadrature_oracle(n, alpha, offset):
     got = riesz_cell_average(n, alpha, offset[:n])
     ref = riesz_cell_average_quad(n, alpha, offset[:n])
     assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
+def test_atom_stencil_cells_match_quadrature_oracle():
+    # an atom frac cells off the centre of stencil cell (K, K): cell j holds
+    # offset j - K - frac from it, so a sign or edge slip moves every cell
+    alpha, frac = 1.5, (0.3, -0.17)
+    K = riesz._ATOM_STENCIL_HALF_WIDTH
+    table = riesz._atom_stencil_averages(2, alpha, frac)
+    assert table.shape == (2 * K + 1,) * 2
+    for j in ((K, K), (K - 1, K), (K + 1, K), (K, K + 1), (0, 2 * K), (2 * K, 1)):
+        ref = riesz_cell_average_quad(2, alpha, np.array(j) - K - np.array(frac))
+        assert abs(table[j] - ref) <= 1e-10 * abs(ref)
 
 
 def test_atom_correction_block_is_clipped_to_the_box():
