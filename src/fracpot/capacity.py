@@ -81,8 +81,14 @@ def ball_capacity_upper(n: int, alpha: float, p: float, r: float) -> float:
     if r == 0.0:
         return 0.0
     c = riesz_constant(n, alpha)
-    const = (2.0 ** (n - alpha) / c) ** p * sphere_surface(n) ** (1.0 - p)
-    return const * r ** (n - alpha * p)
+    try:
+        const = (2.0 ** (n - alpha) / c) ** p * sphere_surface(n) ** (1.0 - p)
+        bound = const * r ** (n - alpha * p)
+    except OverflowError:
+        bound = np.inf
+    if not np.isfinite(bound):
+        raise ConfigError(f"capacity bound of the ball of radius {r} at p={p} overflows a float")
+    return bound
 
 
 def _check_exponent(p: float) -> None:

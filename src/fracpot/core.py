@@ -85,6 +85,8 @@ class Grid:
             raise ConfigError("box half-width must be positive")
         if not self.L < np.inf:
             raise ConfigError(f"box half-width must be finite, got {self.L}")
+        if not 4.0 * self.n * self.L * self.L < np.inf:
+            raise ConfigError(f"box half-width {self.L} is too large: squared distances overflow")
 
     @property
     def h(self) -> float:

@@ -33,10 +33,10 @@ its gradient share one forward transform, or one pass over the atoms.
 The padded spectrum is never held whole: after the last-axis rfft, its
 columns stream in cache-sized slabs through the leading-axis transforms,
 the products with the hats and the inverses, and only half-size spectra,
-one per kernel, wait for the last-axis irfft.  Every transform equals
-scipy.fft's bit for bit.  Large transforms split their slabs and row
-blocks over every available CPU (fft_workers changes the count), which
-never changes a result.
+one per kernel, wait for the last-axis irfft.  One pipeline, _filtered,
+runs every convolution, and each of its transforms equals scipy.fft's bit
+for bit.  Large transforms split their slabs and row blocks over every
+available CPU (fft_workers changes the count), which never changes a result.
 
 Differentiating |x - y|^(2s - n) gives the vector kernel
 
@@ -195,7 +195,7 @@ def atom_quadrature_correction(
 # cached per (grid, alpha/s, kind).  numpy >= 2.0 runs the pocketfft library
 # that scipy.fft runs, and every pass below hands it the lines, the axis
 # order and the scaling scipy.fft would, so each result equals scipy.fft's
-# bit for bit.  One pipeline, _filtered, runs every transform: the rfft of
+# bit for bit.  One pipeline, _filtered, runs every convolution: the rfft of
 # the data lines, then slabs of last-axis frequency columns through
 # per-worker scratch, then the irfft in row blocks.
 
@@ -290,21 +290,21 @@ def _pad_forward(src: np.ndarray, slab: np.ndarray, crop: tuple[int, ...]) -> No
         np.fft.fft(live, axis=ax, out=live)
 
 
-def _inverse_crop(slab: np.ndarray, crop: tuple[int, ...], norm: str | None) -> np.ndarray:
+def _inverse_crop(slab: np.ndarray, crop: tuple[int, ...]) -> np.ndarray:
     """The first crop points of slab's inverse transform along each leading axis.
 
     Each axis is cropped right after its inverse, so later passes skip the
     lines the result discards.  slab is overwritten.
     """
     for ax in range(slab.ndim - 1):
-        np.fft.ifft(slab, axis=ax, out=slab, norm=norm)
+        np.fft.ifft(slab, axis=ax, out=slab)
         slab = slab[(slice(None),) * ax + (slice(0, crop[ax]),)]
     return slab
 
 
-def _filtered(values: np.ndarray, padded: tuple[int, ...], products: list, scale: float,
-              norm: str | None = None) -> list[np.ndarray]:
-    """Per product, scale * irfftn(product(rfftn(values, s=padded)), s=padded, norm=norm), cropped.
+def _filtered(values: np.ndarray, padded: tuple[int, ...], products: list,
+              scale: float) -> list[np.ndarray]:
+    """Per product, scale * irfftn(product(rfftn(values, s=padded)), s=padded), cropped.
 
     The crop keeps the first values.shape points.  product(slab, cols, out)
     writes into out the slab, which holds the spectrum's last-axis
@@ -349,7 +349,7 @@ def _filtered(values: np.ndarray, padded: tuple[int, ...], products: list, scale
             for product, spectrum in zip(products, spectra):
                 out = slab if spectrum is source else spare[..., : b - a]
                 product(slab, slice(a, b), out)
-                spectrum[..., a:b] = _inverse_crop(out, crop, norm)
+                spectrum[..., a:b] = _inverse_crop(out, crop)
 
     _in_chunks(slabs, cols, width, points)
     # from here only spectra holds them, so each goes once its result is written
@@ -364,28 +364,13 @@ def _filtered(values: np.ndarray, padded: tuple[int, ...], products: list, scale
             scratch = np.empty((block, padded[-1]))
             for a, b in run:
                 line = scratch[: b - a]
-                np.fft.irfft(spectrum_rows[a:b], n=padded[-1], axis=-1, out=line, norm=norm)
+                np.fft.irfft(spectrum_rows[a:b], n=padded[-1], axis=-1, out=line)
                 np.multiply(line[:, : crop[-1]], scale, out=out_rows[a:b])
 
         _in_chunks(work, rows, block, points)
         return out
 
     return [inverse(spectra.pop(0)) for _ in products]
-
-
-def fourier_multiplier(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """Periodic Fourier multiplier on the grid itself: irfftn(symbol * rfftn(values)).
-
-    The 1/size of the inverse is applied once, at the end, as a factor
-    rounded from long double, as pocketfft applies it to an n-D transform;
-    numpy's rfftn/irfftn order and scale the axes otherwise.
-    """
-
-    def product(slab, cols, out):
-        np.multiply(slab, symbol[..., cols], out=out)
-
-    scale = float(1 / np.longdouble(values.size))
-    return _filtered(values, values.shape, [product], scale, norm="forward")[0]
 
 
 def _real_line_transform(hat: np.ndarray, axis: int, odd: bool, points: int) -> None:

@@ -76,17 +76,23 @@ def constants_ledger(params: Parameters, theta: float) -> ConstantsLedger:
     c1s = c1_threshold(params)
     c1 = theta * c1s
     c2 = c0 * qp
-    c3 = c0 * c2**q * c1
-    c4 = c2 ** (q - 1.0) * q * c3
-    delta = c0 * c2 ** (q - 1.0) * q * c1
+    overflow = f"the constants ledger overflows a float at q={q}"
+    try:
+        c3 = c0 * c2**q * c1
+        c4 = c2 ** (q - 1.0) * q * c3
+        delta = c0 * c2 ** (q - 1.0) * q * c1
 
-    a = c0
-    for _ in range(100000):
-        a_next = c0 * (a**q * c1 + 1.0)
-        if abs(a_next - a) < 1e-12:
+        a = c0
+        for _ in range(100000):
+            a_next = c0 * (a**q * c1 + 1.0)
+            if abs(a_next - a) < 1e-12:
+                a = a_next
+                break
             a = a_next
-            break
-        a = a_next
+    except OverflowError:
+        raise ConfigError(overflow) from None
+    if not np.all(np.isfinite([c3, c4, delta, a])):
+        raise ConfigError(overflow)
     return ConstantsLedger(
         theta=theta,
         c_grad=c0,

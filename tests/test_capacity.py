@@ -1,5 +1,6 @@
 """Capacity bounds, candidate densities, and the admissibility ratio."""
 
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -50,6 +51,17 @@ def test_ball_bound_degenerate_radius():
 def test_ball_bound_rejects_a_negative_or_non_finite_radius(r):
     with pytest.raises(ConfigError, match="^radius must be nonnegative and finite"):
         ball_capacity_upper(2, 0.5, 2.0, r)
+
+
+@pytest.mark.parametrize(
+    "alpha, p, r",
+    [(0.5, 2.0, 1e308), (0.25, 2.0, 1e250), (1.5, 2.0, 5e-324), (0.5, 1e300, 1.0)],
+    ids=["overflows-to-inf", "power-raises", "tiny-radius", "huge-exponent"],
+)
+def test_ball_bound_that_overflows_is_refused_naming_the_radius(alpha, p, r):
+    message = re.escape(f"capacity bound of the ball of radius {r} at p=")
+    with pytest.raises(ConfigError, match="^" + message):
+        ball_capacity_upper(2, alpha, p, r)
 
 
 def test_ball_bound_rejects_alpha_outside_range():

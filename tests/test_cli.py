@@ -261,6 +261,11 @@ _CAPACITY = ["capacity", "--alpha", "0.5", "--p", "2", "--N", "16"]
         ([*_CAPACITY, "--sweep", "1,inf"], 1),
         (["capacity", "--alpha", "nan", "--p", "2", "--ball", "0,0,1"], 1),
         (["capacity", "--alpha", "0.5", "--p", "1e400", "--ball", "0,0,1"], 1),
+        ([*_CAPACITY, "--ball", "0,0,1e308"], 1),
+        ([*_CAPACITY, "--L", "1e300", "--ball", "0,0,1"], 1),
+        (["constants", "--n", "2", "--s", "0.75", "--q", "1e308"], 1),
+        (["constants", "--n", "2", "--s", "0.75", "--q", "1e5"], 1),
+        (["solve", "--config", "{huge_q}", "--out", "{tmp}/o"], 1),
         (["solve", "--config", "{raw}", "--out", "{tmp}/o"], 2),
         (["wolff", "--config", "{tmp}/missing.json"], 4),
         (["verify", "--config", "{cfg}", "--fields", "{truncated}"], 5),
@@ -269,7 +274,9 @@ _CAPACITY = ["capacity", "--alpha", "0.5", "--p", "2", "--N", "16"]
          "sweep-not-numbers", "no-target", "two-targets", "subcritical-q", "no-threads",
          "q-nan", "q-inf", "s-nan", "theta-minus-inf", "constant-overflows", "ball-radius-inf",
          "ball-centre-nan", "L-inf", "sweep-inf", "alpha-nan", "p-overflows-to-inf",
-         "inadmissible", "missing-config", "truncated-field"],
+         "ball-bound-overflows", "L-squared-overflows", "q-1e308-ledger-overflows",
+         "q-1e5-ledger-overflows", "solve-q-1e5-ledger-overflows", "inadmissible",
+         "missing-config", "truncated-field"],
 )
 def test_refused_input_exits_with_its_code_and_one_error_line(solved, tmp_path, capsys,
                                                                argv, code):
@@ -282,8 +289,13 @@ def test_refused_input_exits_with_its_code_and_one_error_line(solved, tmp_path, 
         (truncated / path.name).write_bytes(path.read_bytes())
     (truncated / "u.field").write_bytes((out / "u.field").read_bytes()[:1001])
     raw = _write_config(tmp_path / "raw.json")
-    argv = [a.format(cfg=cfg, raw=raw, tmp=tmp_path, truncated=truncated) for a in argv]
-    assert main(argv) == code
+    huge_q = _write_config(tmp_path / "huge_q.json",
+                           params={**REFERENCE_CONFIG["params"], "q": 1e5})
+    argv = [a.format(cfg=cfg, raw=raw, tmp=tmp_path, truncated=truncated, huge_q=huge_q)
+            for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -110,6 +110,9 @@ def test_grid_rejects_bad_sizes():
             Grid(2, L, 64)
     with pytest.raises(ConfigError, match="^box half-width must be finite, got inf$"):
         Grid(2, np.inf, 64)
+    with pytest.raises(ConfigError,
+                       match=r"^box half-width 1e\+300 is too large: squared distances overflow$"):
+        Grid(2, 1e300, 64)
 
 
 def test_atomic_measure_mass_and_ball_counts():

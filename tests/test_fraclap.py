@@ -1,9 +1,13 @@
 """Spectral fractional Laplacian and weak-form residuals.
 
-The operator is pinned by the periodized Hankel oracle: (-Delta)^s of a
-Gaussian has an explicit radial Hankel integral, and on a periodic box the
-discrete operator must reproduce its lattice periodization.
+The operator is pinned by the periodized Gaussian oracle: (-Delta)^s of a
+Gaussian has a closed form, a Kummer function checked against its radial
+Hankel integral, and on a periodic box the discrete operator must reproduce
+its lattice periodization.  weak_residual, which transforms u once, is held
+to the route that transforms each test function instead.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,13 +20,20 @@ from fracpot import (
     TestFunction,
     default_test_functions,
     fractional_laplacian_spectral,
+    picard_solve,
     riesz_potential_measure,
+    scale_measure_admissible,
     weak_residual,
 )
 from fracpot.errors import ConfigError, GridMismatch
 from fracpot.riesz import riesz_potential_and_gradient_measure
 
-from oracles import fraclap_gaussian_periodized
+from oracles import (
+    fraclap_gaussian_closed_form,
+    fraclap_gaussian_periodized,
+    fraclap_gaussian_radial,
+    weak_residual_per_test_function,
+)
 
 
 def _narrow_gaussian(grid, sigma):
@@ -36,11 +47,17 @@ def test_spectral_operator_matches_periodized_hankel_oracle():
     phi = _narrow_gaussian(g, sigma)
     got = fractional_laplacian_spectral(phi, s).values
     X, Y = np.broadcast_arrays(*g.coords())
-    # compare on a coarse sub-lattice; the oracle quadrature is slow
-    sub = (slice(0, g.N, 8), slice(0, g.N, 8))
-    ref = fraclap_gaussian_periodized(X[sub], Y[sub], s, g.L, sigma)
+    ref = fraclap_gaussian_periodized(X, Y, s, g.L, sigma)
     scale = np.max(np.abs(ref))
-    assert np.max(np.abs(got[sub] - ref)) <= 1e-4 * scale
+    assert np.max(np.abs(got - ref)) <= 1e-4 * scale
+
+
+def test_gaussian_closed_form_matches_its_hankel_integral():
+    # out to the farthest image the periodization above sums, 7 L per axis
+    s, sigma = 0.75, 0.5
+    r = np.array([0.0, 0.3, 1.0, 2.0, 5.0, 20.0, np.hypot(56.0, 56.0)])
+    closed = fraclap_gaussian_closed_form(r, 2, s, sigma)
+    assert np.max(np.abs(closed - fraclap_gaussian_radial(r, s, sigma))) <= 1e-10 * closed[0]
 
 
 def test_spectral_operator_near_s_one_is_laplacian():
@@ -189,3 +206,97 @@ def test_weak_residual_does_not_depend_on_the_datum_scale():
         residuals.append(weak_residual(u, grad, om, params, default_test_functions(g)))
     assert min(residuals[1]) > 1e-3
     assert residuals[0] == pytest.approx(residuals[1], rel=1e-6)
+
+
+def _atoms(n, L, N, atoms, weights):
+    params, g = Parameters(n, 0.75, 2.0), Grid(n, L, N)
+    om = Measure.from_atoms(np.asarray(atoms, dtype=float), np.asarray(weights, dtype=float))
+    return riesz_potential_measure(om, 2.0 * params.s, g), None, om, params
+
+
+def _random_atoms():
+    rng = np.random.default_rng(6)
+    return _atoms(2, 8.0, 128, rng.uniform(-1.0, 1.0, (6, 2)), rng.uniform(0.5, 1.5, 6))
+
+
+def _ball(n, N):
+    params, g = Parameters(n, 0.75, 2.0), Grid(n, 8.0, N)
+    om = Measure.uniform_ball(np.zeros(n), 1.0)
+    return (*riesz_potential_and_gradient_measure(om, params.s, g), om, params)
+
+
+def _picard():
+    params, g = Parameters(2, 0.75, 2.0), Grid(2, 8.0, 64)
+    ball = Measure.uniform_ball(np.array([0.25, 0.125]), 1.0)
+    om = ball.scaled(scale_measure_admissible(ball, 0.5, params, g)[0])
+    u, grad, _ = picard_solve(om, params, g, checks=())
+    return u, grad, om, params
+
+
+WEAK_CASES = {
+    "criterion-3-atom": lambda: _atoms(2, 10.0, 256, [[0.0, 0.0]], [1.0]),
+    "random-atoms": _random_atoms,
+    "ball-n2-N128": lambda: _ball(2, 128),
+    "ball-n2-N1024": lambda: _ball(2, 1024),
+    "ball-n3-N32": lambda: _ball(3, 32),
+    "ball-n3-N64": lambda: _ball(3, 64),
+    "picard-n2-N64": _picard,
+}
+
+
+@pytest.mark.parametrize("case", WEAK_CASES.values(), ids=WEAK_CASES.keys())
+def test_weak_residual_matches_the_per_test_function_route(case):
+    # the symbol is real and even, so moving (-Delta)^s from each phi onto u
+    # moves each residual by rounding only
+    u, grad, om, params = case()
+    family = default_test_functions(u.grid)
+    got = weak_residual(u, grad, om, params, family)
+    want = weak_residual_per_test_function(u, grad, om, params, family)
+    assert np.max(np.abs(np.subtract(got, want)) / np.abs(want)) <= 1e-12
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Counts of every numpy.fft transform called through the numpy.fft namespace."""
+    calls = Counter()
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+        def counted(*args, _name=name, _call=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("members, atoms", [(1, 0), (1, 1), (12, 7), (12, None)],
+                         ids=["one-member-no-atom", "one-member-one-atom", "12-members-7-atoms",
+                              "12-members-ball"])
+def test_weak_residual_transforms_once(fft_calls, members, atoms):
+    g, params = Grid(2, 8.0, 64), Parameters(2, 0.75, 2.0)
+    if atoms is None:
+        om = Measure.uniform_ball(np.zeros(2), 1.0)
+    else:
+        om = Measure.from_atoms(np.linspace(-1.0, 1.0, 2 * atoms).reshape(atoms, 2),
+                                np.ones(atoms))
+    u, grad = riesz_potential_and_gradient_measure(om, params.s, g)
+    family = [TestFunction((0.1 * k, -0.05 * k), 0.2 + 0.02 * k) for k in range(members)]
+    fft_calls.clear()
+    assert len(weak_residual(u, grad, om, params, family)) == members
+    assert fft_calls == {"rfftn": 1, "irfftn": 1}
+
+
+def test_weak_residual_refuses_a_leaking_member_before_any_transform(fft_calls):
+    u, _, om, params = _atoms(2, 8.0, 64, [[0.0, 0.0]], [1.0])
+    family = [*default_test_functions(u.grid), TestFunction((0.0, 0.0), 6.0)]
+    with pytest.raises(ConfigError, match="^boundary amplitude"):
+        weak_residual(u, None, om, params, family)
+    assert not fft_calls
+
+
+def test_weak_residual_accepts_a_member_that_vanishes_on_the_grid():
+    u, _, om, params = _atoms(2, 8.0, 64, [[0.0, 0.0]], [1.0])
+    far = TestFunction((1e3, 0.0), 1.0)
+    assert np.all(far.on_grid(u.grid).values == 0.0)
+    family = default_test_functions(u.grid)
+    got = weak_residual(u, None, om, params, [*family, far])
+    assert got == [*weak_residual(u, None, om, params, family), 0.0]

@@ -393,15 +393,6 @@ def test_convolution_holds_no_padded_spectrum(monkeypatch):
     assert peak < 2 * padded
 
 
-@pytest.mark.parametrize("shape", [(64, 64), (48, 100), (16, 16, 16), (12, 10, 9)])
-def test_fourier_multiplier_equals_scipy_bitwise(shape):
-    rng = np.random.default_rng(sum(shape))
-    x = rng.standard_normal(shape)
-    symbol = rng.random(shape[:-1] + (shape[-1] // 2 + 1,))
-    ref = scipy.fft.irfftn(symbol * scipy.fft.rfftn(x), s=shape)
-    assert riesz.fourier_multiplier(x, symbol).tobytes() == ref.tobytes()
-
-
 def test_workers_follow_the_transform_size():
     with fft_workers(2):
         assert riesz._workers(riesz._PARALLEL_MIN_POINTS) == 2

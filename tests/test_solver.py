@@ -1,5 +1,6 @@
 """Constants ledger identities and the successive-approximation solver."""
 
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -65,6 +66,15 @@ def test_ledger_rejects_theta_outside_unit_interval():
     for theta in (0.0, 1.0, -1.0, 1.5):
         with pytest.raises(ConfigError, match=r"^theta .* outside \(0, 1\)$"):
             constants_ledger(PARAMS, theta)
+
+
+@pytest.mark.parametrize("q", [900.0, 1e5, 1e308],
+                         ids=["product-overflows", "power-raises", "q-1e308"])
+def test_ledger_that_overflows_a_float_is_refused_naming_q(q):
+    # at q = 900 every power is finite and c_step overflows to inf; above, c2**q raises
+    message = re.escape(f"the constants ledger overflows a float at q={q}")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        constants_ledger(Parameters(2, 0.75, q), 0.5)
 
 
 def test_ledger_serialises():
