@@ -1,8 +1,8 @@
 """Numerical toolkit for (-Delta)^s u = |grad u|^q + omega on R^n.
 
-Riesz potentials with free-space FFT convolution, the spectral fractional
-Laplacian, Riesz capacities with the admissibility ratio, the contracting
-Picard iteration with its constants ledger, and norm/decay diagnostics.
+Riesz potentials with free-space FFT convolution, Riesz capacities with the
+admissibility ratio, the contracting Picard iteration with its constants
+ledger, weak-form residuals, and norm/decay diagnostics.
 """
 
 __version__ = "0.1.0"
@@ -37,7 +37,6 @@ from .errors import FracpotError
 from .fraclap import (
     TestFunction,
     default_test_functions,
-    fractional_laplacian_spectral,
     weak_residual,
 )
 from .riesz import (
@@ -83,7 +82,6 @@ __all__ = [
     "distribution_slope",
     "estimate_ball_capacity",
     "estimate_capacity",
-    "fractional_laplacian_spectral",
     "gamma",
     "gradient_bound_check",
     "gradient_comparison_constant",

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Grid, GridField, Measure, Parameters, sup_ratio
+from .core import Grid, GridField, Measure, Parameters, check_box, sup_ratio
 from .errors import ConfigError, NotConverged
 from .riesz import (
     gradient_comparison_constant,
@@ -97,6 +97,10 @@ def _check_exponent(p: float) -> None:
         raise ConfigError(f"capacity exponent p must satisfy 1 < p < inf, got p={p}")
 
 
+def _out_of_range(p: float) -> ConfigError:
+    return ConfigError(f"capacity exponent p={p} takes the estimate outside the float range")
+
+
 def ball_mask(grid: Grid, x0, r: float) -> np.ndarray:
     """Boolean mask of cell centers strictly inside B_r(x0)."""
     return grid.dist2(x0) < r * r
@@ -139,7 +143,12 @@ def estimate_capacity(
         raise ConfigError("mask shape does not match grid")
     if not mask.any():
         raise ConfigError("capacity of the empty set is trivially zero")
-    scale = grid.h ** (grid.n - alpha * p)
+    try:
+        scale = grid.h ** (grid.n - alpha * p)
+    except OverflowError:
+        scale = np.inf
+    if not 0.0 < scale < np.inf:
+        raise _out_of_range(p)
     try:
         best_u, best_val, lower, it = _unit_solve(
             grid.n, grid.N, mask.tobytes(), alpha, p, tol, max_iter
@@ -155,7 +164,10 @@ def estimate_capacity(
     if m < 1.0:
         cand = cand / m
         m = float(np.min(_potential(cand, alpha, grid)[mask]))
-    value = grid.cell_volume * float(np.sum(cand**p))
+    with np.errstate(over="ignore"):
+        value = grid.cell_volume * float(np.sum(cand**p))
+    if not max(best_val * scale, value) < np.inf:
+        raise _out_of_range(p)
     return CapacityEstimate(
         value=value,
         upper_bound=max(best_val * scale, value),
@@ -199,8 +211,11 @@ def _unit_solve(
     ind = mask.astype(float)
     k_ind = potential(ind)
     best_u = ind / float(np.min(k_ind[mask]))  # the kernel is positive
-    best_val = float(np.sum(best_u**p))
-    c = (np.sum(ind) / (p * np.sum(primal(k_ind) ** p))) ** (p - 1.0)
+    with np.errstate(over="ignore"):
+        best_val = float(np.sum(best_u**p))
+        c = (np.sum(ind) / (p * np.sum(primal(k_ind) ** p))) ** (p - 1.0)
+    if not (best_val < np.inf and 0.0 < c < np.inf):
+        raise _out_of_range(p)
     lam = lam_prev = c * ind
     k_lam = k_prev = c * k_ind
     lower = g_lam = dual(lam, k_lam)
@@ -249,8 +264,9 @@ def estimate_ball_capacity(
     x0, r: float, alpha: float, p: float, grid: Grid, **kw
 ) -> CapacityEstimate:
     """estimate_capacity on a ball mask, with the analytic bound attached."""
+    bound = ball_capacity_upper(grid.n, alpha, p, r)
     est = estimate_capacity(ball_mask(grid, x0, r), alpha, p, grid, **kw)
-    return replace(est, analytic_ball_bound=ball_capacity_upper(grid.n, alpha, p, r))
+    return replace(est, analytic_ball_bound=bound)
 
 
 def c1_threshold(params: Parameters) -> float:
@@ -274,8 +290,7 @@ def wolff_ratio_and_potential(
     """wolff_ratio and the potential I_{2s-1}(omega) it was measured on."""
     if omega.total_mass() <= 0.0:
         raise ConfigError("admissibility ratio of the zero measure")
-    if grid.L < 4.0 * omega.support_radius:
-        raise ConfigError(f"box half-width {grid.L} below 4 x support radius {omega.support_radius}")
+    check_box(omega, grid)
     alpha = 2.0 * params.s - 1.0
     pot = riesz_potential_measure(omega, alpha, grid)
     w = riesz_potential_field(GridField(grid, pot.values**params.q), alpha).values

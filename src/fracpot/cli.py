@@ -32,7 +32,7 @@ from .capacity import (
     scale_measure_admissible,
     wolff_ratio,
 )
-from .core import Grid, GridField, Measure, Parameters, VectorGridField
+from .core import Grid, GridField, Measure, Parameters, VectorGridField, check_box
 from .diagnostics import DECAY_RING, diagnostics_report
 from .errors import (
     ConfigError,
@@ -136,9 +136,7 @@ def _check_measure(measure: Measure, params: Parameters, grid: Grid) -> None:
     """Reject a measure of another dimension than params.n or too wide for the box."""
     if measure.dimension != params.n:
         raise ConfigError(f"measure is {measure.dimension}-dimensional, params.n is {params.n}")
-    if grid.L < 4.0 * measure.support_radius:
-        raise ConfigError(f"box half-width {grid.L} below 4 x support radius "
-                          f"{measure.support_radius}")
+    check_box(measure, grid)
 
 
 def _load_solution(args) -> tuple[Scenario, GridField, VectorGridField, Measure]:
@@ -214,6 +212,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_wolff(args) -> int:
+    if args.theta is not None and not args.auto_scale:
+        raise ConfigError("wolff reads --theta only as the target of --auto-scale; drop --theta")
     sc = load_scenario(args.config, args.theta)
     if args.auto_scale:
         _, report = scale_measure_admissible(sc.measure, sc.theta, sc.params, sc.grid)

@@ -122,6 +122,10 @@ class Grid:
         x0 = np.asarray(x0, dtype=float).ravel()
         if x0.size != self.n:
             raise GridMismatch(f"{x0.size}-D point on a {self.n}-D grid")
+        reach = float(np.hypot.reduce(np.abs(x0) + self.L))  # bounds |x - x0| on the box
+        if not reach * reach < np.inf:
+            raise ConfigError(f"point {tuple(x0.tolist())} is too far from the box: "
+                              "squared distances overflow")
         return [c - x0[i] for i, c in enumerate(self.coords(block))]
 
     def dist2(self, x0) -> np.ndarray:
@@ -152,9 +156,6 @@ class GridField:
         if not np.all(np.isfinite(self.values)):
             raise ConfigError("field contains non-finite entries")
 
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 @dataclass
 class VectorGridField:
@@ -172,6 +173,13 @@ class VectorGridField:
 
     def magnitude(self) -> GridField:
         return GridField(self.grid, np.sqrt(squared_norm([c.values for c in self.components])))
+
+
+def check_box(measure: "Measure", grid: Grid) -> None:
+    """Refuse a box with L below 4 R: the admissibility sup is near-field only from there."""
+    if grid.L < 4.0 * measure.support_radius:
+        raise ConfigError(f"box half-width {grid.L} below 4 x support radius "
+                          f"{measure.support_radius}")
 
 
 @dataclass

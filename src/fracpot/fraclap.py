@@ -1,12 +1,6 @@
-"""Spectral fractional Laplacian on the box and weak-form residuals.
+"""Weak-form residuals of (-Delta)^s u = |grad u|^q + omega.
 
-(-Delta)^s is applied through the discrete Fourier transform with symbol
-|xi|^(2s), xi_k = pi k / L per axis, k in {-N/2, ..., N/2 - 1}.  The box is
-periodic for the transform, so inputs must be numerically negligible at the
-boundary; the operator refuses fields that leak (a ConfigError) because the
-wrap-around would silently pollute every mode.
-
-Weak residuals test the distributional identity
+weak_residual tests the distributional identity
 
     integral u (-Delta)^s phi  =  integral |grad u|^q phi  +  integral phi d omega
 
@@ -14,6 +8,13 @@ against smooth, rapidly decaying test functions.  A finite family of five
 gaussians is a sampling of the test space, not a proof; it is what a desk
 check can do, and the residual it reports is a genuine discretisation
 diagnostic for fields produced by the solver.
+
+(-Delta)^s exists here only inside that check.  It is applied through the
+discrete Fourier transform with symbol |xi|^(2s), xi_k = pi k / L per axis,
+k in {-N/2, ..., N/2 - 1}.  The box is periodic for the transform, so every
+test function must be numerically negligible at the boundary; the check
+refuses a member that leaks (a ConfigError), because the wrap-around would
+silently pollute every mode.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def default_test_functions(grid: Grid) -> list[TestFunction]:
     """Deterministic family of gaussians scaled to the box.
 
     Widths and centers keep the boundary values below 1e-12 of the peak, so
-    every member passes the spectral admissibility check on its own grid.
+    every member passes the boundary-leak check on its own grid.
     Widths stay under 0.05 L because the residual error floor of the weak
     identity (periodic images of the symbol plus box truncation) scales with
     the test function's integral, while offsets stay small because the image
@@ -103,21 +104,6 @@ def _periodic_power(values: np.ndarray, grid: Grid, s: float) -> np.ndarray:
     symbol = squared_norm(mesh) ** s  # 0^0 = 1 keeps s = 0 the identity
     axes = tuple(range(grid.n))
     return np.fft.irfftn(symbol * np.fft.rfftn(values, axes=axes), s=grid.shape, axes=axes)
-
-
-def fractional_laplacian_spectral(phi: GridField, s: float) -> GridField:
-    """(-Delta)^s phi through the DFT symbol |xi|^(2s).
-
-    s may be anywhere in [0, 1]: s = 0 reproduces the identity (zero mode
-    included), s = 1 the classical negative Laplacian.  Intermediate s is
-    what the model uses.
-    """
-    if not 0.0 <= s <= 1.0:
-        raise ConfigError(f"spectral order s must lie in [0, 1], got {s}")
-    if phi.sup() == 0.0:
-        return phi.grid.zeros()
-    _refuse_leak(phi.values)
-    return GridField(phi.grid, _periodic_power(phi.values, phi.grid, s))
 
 
 def weak_residual(

@@ -133,18 +133,6 @@ def _cell_averages(n: int, alpha: float, edges) -> np.ndarray:
     return c * (1.0 + total.sum(axis=0) / gamma(a))
 
 
-def riesz_cell_average(n: int, alpha: float, offset) -> float:
-    """Exact average of c(n, alpha) |y|^(alpha - n) over the unit cube at offset.
-
-    The cube is [offset - 1/2, offset + 1/2]^n in units of the cell side, the
-    singularity sits at the origin and may lie anywhere, inside the cube, on
-    its boundary or outside.  For cells of side h the average scales by
-    homogeneity: multiply by h^(alpha - n).
-    """
-    edges = [[o - 0.5, o + 0.5] for o in np.reshape(offset, n)]
-    return _cell_averages(n, alpha, edges).item()
-
-
 # Half-width, in cells, of the block around an atom on which stored point
 # samples of the kernel are compared with exact cell averages.
 _ATOM_STENCIL_HALF_WIDTH = 3
@@ -152,7 +140,7 @@ _ATOM_STENCIL_HALF_WIDTH = 3
 
 @lru_cache(maxsize=256)
 def _atom_stencil_averages(n: int, alpha: float, frac: tuple[float, ...]) -> np.ndarray:
-    """riesz_cell_average over the stencil j in [-K, K]^n at offsets j - frac."""
+    """Kernel cell averages over the stencil j in [-K, K]^n at offsets j - frac."""
     K = _ATOM_STENCIL_HALF_WIDTH
     table = _cell_averages(n, alpha, [np.arange(-K - 0.5, K + 1.0) - f for f in frac])
     table.setflags(write=False)

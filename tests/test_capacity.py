@@ -1,6 +1,7 @@
 """Capacity bounds, candidate densities, and the admissibility ratio."""
 
 import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -62,6 +63,24 @@ def test_ball_bound_that_overflows_is_refused_naming_the_radius(alpha, p, r):
     message = re.escape(f"capacity bound of the ball of radius {r} at p=")
     with pytest.raises(ConfigError, match="^" + message):
         ball_capacity_upper(2, alpha, p, r)
+
+
+@pytest.mark.parametrize(
+    "L, p",
+    [(4.0, 1e300), (64.0, 1e300), (8.0, 1e6), (8.0, 1e3)],
+    ids=["scale-overflows", "scale-underflows", "start-overflows", "start-underflows"],
+)
+def test_estimate_out_of_float_range_is_refused_naming_p(L, p):
+    # the scale h^(n - alpha p) and the loop's starting point are checked
+    # before any iteration, with no numpy warning on the way
+    g = Grid(2, L, 16)
+    mask = np.zeros(g.shape, dtype=bool)
+    mask[8, 8:10] = True
+    message = re.escape(f"capacity exponent p={p} takes the estimate outside the float range")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            estimate_capacity(mask, 0.5, p, g)
 
 
 def test_ball_bound_rejects_alpha_outside_range():

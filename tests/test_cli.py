@@ -266,6 +266,14 @@ _CAPACITY = ["capacity", "--alpha", "0.5", "--p", "2", "--N", "16"]
         (["constants", "--n", "2", "--s", "0.75", "--q", "1e308"], 1),
         (["constants", "--n", "2", "--s", "0.75", "--q", "1e5"], 1),
         (["solve", "--config", "{huge_q}", "--out", "{tmp}/o"], 1),
+        ([*_CAPACITY, "--p", "1e300", "--ball", "0,0,1"], 1),
+        ([*_CAPACITY, "--p", "1e300", "--mask-file", "{cells}"], 1),
+        ([*_CAPACITY, "--p", "1e300", "--L", "64", "--mask-file", "{cells}"], 1),
+        ([*_CAPACITY, "--p", "1e6", "--L", "8", "--mask-file", "{cells}"], 1),
+        ([*_CAPACITY, "--p", "1e300", "--L", "8", "--ball", "0,0,1"], 1),
+        ([*_CAPACITY, "--ball", "1e200,0,1"], 1),
+        ([*_CAPACITY, "--mask-file", "{far_ball}"], 1),
+        (["wolff", "--config", "{cfg}", "--theta", "5"], 1),
         (["solve", "--config", "{raw}", "--out", "{tmp}/o"], 2),
         (["wolff", "--config", "{tmp}/missing.json"], 4),
         (["verify", "--config", "{cfg}", "--fields", "{truncated}"], 5),
@@ -275,7 +283,10 @@ _CAPACITY = ["capacity", "--alpha", "0.5", "--p", "2", "--N", "16"]
          "q-nan", "q-inf", "s-nan", "theta-minus-inf", "constant-overflows", "ball-radius-inf",
          "ball-centre-nan", "L-inf", "sweep-inf", "alpha-nan", "p-overflows-to-inf",
          "ball-bound-overflows", "L-squared-overflows", "q-1e308-ledger-overflows",
-         "q-1e5-ledger-overflows", "solve-q-1e5-ledger-overflows", "inadmissible",
+         "q-1e5-ledger-overflows", "solve-q-1e5-ledger-overflows", "p-scale-overflows",
+         "mask-p-scale-overflows", "mask-p-scale-underflows", "mask-p-estimate-overflows",
+         "ball-p-bound-before-estimate", "ball-centre-far-away", "mask-ball-centre-far-away",
+         "wolff-theta-without-auto-scale", "inadmissible",
          "missing-config", "truncated-field"],
 )
 def test_refused_input_exits_with_its_code_and_one_error_line(solved, tmp_path, capsys,
@@ -291,8 +302,12 @@ def test_refused_input_exits_with_its_code_and_one_error_line(solved, tmp_path, 
     raw = _write_config(tmp_path / "raw.json")
     huge_q = _write_config(tmp_path / "huge_q.json",
                            params={**REFERENCE_CONFIG["params"], "q": 1e5})
-    argv = [a.format(cfg=cfg, raw=raw, tmp=tmp_path, truncated=truncated, huge_q=huge_q)
-            for a in argv]
+    cells = tmp_path / "cells.json"
+    cells.write_text("[[8, 8], [8, 9]]")
+    far_ball = tmp_path / "far_ball.json"
+    far_ball.write_text('{"ball": {"center": [1e200, 0], "radius": 1}}')
+    argv = [a.format(cfg=cfg, raw=raw, tmp=tmp_path, truncated=truncated, huge_q=huge_q,
+                     cells=cells, far_ball=far_ball) for a in argv]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == code

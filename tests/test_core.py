@@ -115,6 +115,15 @@ def test_grid_rejects_bad_sizes():
         Grid(2, 1e300, 64)
 
 
+def test_grid_refuses_a_point_whose_squared_distances_overflow():
+    g = Grid(2, 4.0, 16)
+    with pytest.raises(ConfigError,
+                       match=r"^point \(1e\+200, 0\.0\) is too far from the box: squared "
+                       r"distances overflow$"):
+        g.dist2((1e200, 0.0))
+    assert np.isfinite(g.dist2((1e150, -1e150))).all()
+
+
 def test_atomic_measure_mass_and_ball_counts():
     atoms = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
     weights = np.array([1.0, 2.0, 4.0])

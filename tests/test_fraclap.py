@@ -1,10 +1,11 @@
-"""Spectral fractional Laplacian and weak-form residuals.
+"""Weak-form residuals and the periodic (-Delta)^s inside them.
 
-The operator is pinned by the periodized Gaussian oracle: (-Delta)^s of a
-Gaussian has a closed form, a Kummer function checked against its radial
-Hankel integral, and on a periodic box the discrete operator must reproduce
-its lattice periodization.  weak_residual, which transforms u once, is held
-to the route that transforms each test function instead.
+The weak check's operator, fraclap._periodic_power, is pinned by the
+periodized Gaussian oracle: (-Delta)^s of a Gaussian has a closed form, a
+Kummer function checked against its radial Hankel integral, and on a
+periodic box the discrete operator must reproduce its lattice periodization.
+weak_residual, which transforms u once, is held to the route that transforms
+each test function instead.
 """
 
 from collections import Counter
@@ -19,13 +20,13 @@ from fracpot import (
     Parameters,
     TestFunction,
     default_test_functions,
-    fractional_laplacian_spectral,
     picard_solve,
     riesz_potential_measure,
     scale_measure_admissible,
     weak_residual,
 )
 from fracpot.errors import ConfigError, GridMismatch
+from fracpot.fraclap import _periodic_power, _refuse_leak
 from fracpot.riesz import riesz_potential_and_gradient_measure
 
 from oracles import (
@@ -41,11 +42,15 @@ def _narrow_gaussian(grid, sigma):
     return GridField(grid, np.exp(-0.5 * (X**2 + Y**2) / sigma**2))
 
 
+def _power(phi, s):
+    return _periodic_power(phi.values, phi.grid, s)
+
+
 def test_spectral_operator_matches_periodized_hankel_oracle():
     g = Grid(2, 8.0, 128)
     s, sigma = 0.75, 0.5
     phi = _narrow_gaussian(g, sigma)
-    got = fractional_laplacian_spectral(phi, s).values
+    got = _power(phi, s)
     X, Y = np.broadcast_arrays(*g.coords())
     ref = fraclap_gaussian_periodized(X, Y, s, g.L, sigma)
     scale = np.max(np.abs(ref))
@@ -64,7 +69,7 @@ def test_spectral_operator_near_s_one_is_laplacian():
     g = Grid(2, 8.0, 256)
     sigma = 0.5
     phi = _narrow_gaussian(g, sigma)
-    got = fractional_laplacian_spectral(phi, 0.999).values
+    got = _power(phi, 0.999)
     X, Y = g.coords()
     r2 = X**2 + Y**2
     exact = (2.0 / sigma**2 - r2 / sigma**4) * np.exp(-0.5 * r2 / sigma**2)
@@ -75,27 +80,13 @@ def test_spectral_operator_near_s_one_is_laplacian():
 def test_spectral_operator_s_zero_is_identity():
     g = Grid(2, 8.0, 64)
     phi = _narrow_gaussian(g, 0.5)
-    got = fractional_laplacian_spectral(phi, 0.0).values
+    got = _power(phi, 0.0)
     assert np.max(np.abs(got - phi.values)) <= 1e-12
 
 
 def test_spectral_operator_zero_field():
     g = Grid(2, 8.0, 64)
-    out = fractional_laplacian_spectral(g.zeros(), 0.75)
-    assert np.all(out.values == 0.0)
-
-
-def test_spectral_operator_rejects_boundary_leak():
-    g = Grid(2, 8.0, 64)
-    with pytest.raises(ConfigError, match="^boundary amplitude"):
-        fractional_laplacian_spectral(_narrow_gaussian(g, 6.0), 0.75)
-
-
-def test_spectral_operator_rejects_bad_order():
-    g = Grid(2, 8.0, 64)
-    for s in (-0.1, 1.1):
-        with pytest.raises(ConfigError, match=r"^spectral order s must lie in \[0, 1\]"):
-            fractional_laplacian_spectral(_narrow_gaussian(g, 0.5), s)
+    assert np.all(_power(g.zeros(), 0.75) == 0.0)
 
 
 def test_spectral_operator_self_adjoint_and_nonnegative():
@@ -103,8 +94,8 @@ def test_spectral_operator_self_adjoint_and_nonnegative():
     X, Y = g.coords()
     phi = GridField(g, np.exp(-2.0 * ((X - 0.5) ** 2 + Y**2)))
     psi = GridField(g, np.exp(-3.0 * (X**2 + (Y + 0.3) ** 2)))
-    lp = fractional_laplacian_spectral(phi, 0.75).values
-    lq = fractional_laplacian_spectral(psi, 0.75).values
+    lp = _power(phi, 0.75)
+    lq = _power(psi, 0.75)
     lhs = np.sum(phi.values * lq)
     rhs = np.sum(lp * psi.values)
     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
@@ -140,7 +131,7 @@ def test_default_family_is_admissible_on_its_own_grid():
             assert phi.width <= 0.05 * L
             assert max(abs(c) for c in phi.center) <= 0.03 * L
             # each member passes the leak check where it will be used
-            fractional_laplacian_spectral(phi.on_grid(g), 0.75)
+            _refuse_leak(phi.on_grid(g).values)
 
 
 def test_weak_residual_zero_for_trivial_data():

@@ -79,6 +79,48 @@ def test_every_private_name_is_referenced():
     assert not orphans, f"private names nothing in fracpot refers to: {sorted(orphans)}"
 
 
+def _public_functions(tree: ast.Module) -> set[str]:
+    """Public top-level functions, and public methods as Class.method."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            names.update(
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+    return {name for name in names if not name.rpartition(".")[2].startswith("_")}
+
+
+# Public functions whose callers live outside src/fracpot.
+_CALLED_FROM_OUTSIDE = {
+    "cli.py:load_config",  # perfbench/worker.py reads the scenario's config with it
+    # acceptance criterion 4 measures the gradient of I_2s(omega) with it, and
+    # perfbench/tracer.py times it as a layer
+    "riesz.py:riesz_gradient_measure",
+}
+
+
+def test_every_public_function_has_a_caller_in_fracpot():
+    # a function only tests reach is code no command runs; the re-exports in
+    # __init__.py are not callers
+    referenced = set().union(
+        *(_referenced_names(tree) for module, tree in TREES.items() if module != "__init__.py")
+    )
+    uncalled = {
+        f"{path.name}:{name}"
+        for path in MODULES
+        for name in _public_functions(TREES[path.name])
+        if name.rpartition(".")[2] not in referenced
+    }
+    assert uncalled == _CALLED_FROM_OUTSIDE, (
+        f"public functions nothing in fracpot calls: {sorted(uncalled - _CALLED_FROM_OUTSIDE)}; "
+        f"allowed but now called or gone: {sorted(_CALLED_FROM_OUTSIDE - uncalled)}"
+    )
+
+
 def _global_references(table: symtable.SymbolTable) -> set[str]:
     """Names looked up as globals anywhere in table or the scopes nested in it."""
     names = {
