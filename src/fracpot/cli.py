@@ -58,7 +58,7 @@ from .riesz import (
     clear_plan_cache,
     fft_worker_count,
     fft_workers,
-    plan_cache_bytes,
+    plan_cache_peak_bytes,
     riesz_potential_measure,
 )
 from .solver import CHECK_NAMES, constants_ledger, picard_solve, run_checks
@@ -174,7 +174,7 @@ def _write_run_meta(outdir: Path, args_threads: int | None) -> None:
         "threads_requested": args_threads,
         "fft_backend": FFT_BACKEND,
         "fft_workers": fft_worker_count(),
-        "plan_cache_bytes": plan_cache_bytes(),
+        "plan_cache_bytes": plan_cache_peak_bytes(),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     dump_report(meta, outdir / "run_meta.json")
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # run_meta.json's plan_cache_bytes counts this run's kernel hats only
+    # run_meta.json's plan_cache_bytes is this run's high-water mark of kernel hats
     clear_plan_cache()
     try:
         args = build_parser().parse_args(argv)

@@ -28,9 +28,11 @@ cropped output lines (Hockney-Eastwood).  Each padded kernel is even or odd
 in every axis, so its transform is real or imaginary and is fixed by its
 values on the octant of frequencies 0..N: it is built there by a DCT-I (a
 DST-I along the odd axis of a gradient component), cached as one real
-(N+1)^n array, and mirrored over the spectrum when it multiplies.  I_2s and
-its gradient share one forward transform, or one pass over the atoms.
-The padded spectrum is never held whole: after the last-axis rfft, its
+(N+1)^n array, and mirrored over the spectrum when it multiplies.  The n
+gradient components share one such array, each reading it with two axes
+swapped, and the cache keeps only the hats of the convolution that runs.
+I_2s and its gradient share one forward transform, or one pass over the
+atoms.  The padded spectrum is never held whole: after the last-axis rfft, its
 columns stream in cache-sized slabs through the leading-axis transforms,
 the products with the hats and the inverses, and only half-size spectra,
 one per kernel, wait for the last-axis irfft.  One pipeline, _filtered,
@@ -435,7 +437,15 @@ def _zero_offset_n_slots(kern: np.ndarray, N: int) -> np.ndarray:
     return kern
 
 
-_PLAN_CACHE: dict[tuple, list[np.ndarray]] = {}
+# One real octant per grid, order and family, held while the convolutions
+# that read it run (_convolve drops the others), and the most bytes the
+# cache has held at one time since it was last cleared.
+_PLAN_CACHE: dict[tuple, np.ndarray] = {}
+_plan_cache_peak = 0
+
+
+def _hat_key(grid: Grid, order: float, family) -> tuple:
+    return (grid.n, grid.N, float(grid.L).hex(), float(order).hex(), family.__name__)
 
 
 def _kernel_hats(grid: Grid, order: float, family) -> list[tuple[np.ndarray, int | None]]:
@@ -449,34 +459,46 @@ def _kernel_hats(grid: Grid, order: float, family) -> list[tuple[np.ndarray, int
     axis i (0 at frequencies 0 and N) of the DCT-I along the others.  So each
     hat is cached as that one real (N+1)^n array, per grid, order and
     family, and _hat_product mirrors it over the rest of the spectrum.
+    Gradient component i is component 0 with axes 0 and i swapped, on the
+    octant and so in its transform: one octant, odd in axis 0, stands for
+    all n, each read through a swapped view.
     """
+    global _plan_cache_peak
     n, N = grid.n, grid.N
-    # component i of the gradient is odd in axis i, the scalar kernel is even
-    odd_axes = range(n) if family is _gradient_kernels else [None]
-    key = (n, N, float(grid.L).hex(), float(order).hex(), family.__name__)
+    # the scalar kernel is even; the gradient's stored component is odd in axis 0
+    odd = 0 if family is _gradient_kernels else None
+    key = _hat_key(grid, order, family)
     if key not in _PLAN_CACHE:
         points = (2 * N) ** n
         axis = np.arange(0, N + 1) * grid.h
         offsets = np.meshgrid(*[axis] * n, indexing="ij", sparse=True)
-        hats = []
-        for kern, odd in zip(family(grid, order, offsets), odd_axes):
-            hat = _zero_offset_n_slots(kern, N)
-            # scipy.fft.dctn's axis order, then the DST-I
-            even = [ax for ax in range(n) if ax != odd]
-            for ax in even if odd is None else even + [odd]:
-                _real_line_transform(hat, ax, ax == odd, points)
-            hats.append(hat)
-        _PLAN_CACHE[key] = hats
-    return list(zip(_PLAN_CACHE[key], odd_axes))
+        hat = _zero_offset_n_slots(next(family(grid, order, offsets)), N)
+        # scipy.fft.dctn's axis order, then the DST-I
+        even = [ax for ax in range(n) if ax != odd]
+        for ax in even if odd is None else even + [odd]:
+            _real_line_transform(hat, ax, ax == odd, points)
+        _PLAN_CACHE[key] = hat
+        _plan_cache_peak = max(_plan_cache_peak, plan_cache_bytes())
+    hat = _PLAN_CACHE[key]
+    if odd is None:
+        return [(hat, None)]
+    return [(np.swapaxes(hat, 0, i), i) for i in range(n)]
 
 
 def clear_plan_cache() -> None:
+    global _plan_cache_peak
     _PLAN_CACHE.clear()
+    _plan_cache_peak = 0
 
 
 def plan_cache_bytes() -> int:
-    """Bytes held by the cached kernel hats."""
-    return sum(hat.nbytes for hats in _PLAN_CACHE.values() for hat in hats)
+    """Bytes held by the cached kernel hats now, each octant once."""
+    return sum(hat.nbytes for hat in _PLAN_CACHE.values())
+
+
+def plan_cache_peak_bytes() -> int:
+    """The most bytes the cached kernel hats held at one time since clear_plan_cache."""
+    return _plan_cache_peak
 
 
 @lru_cache(maxsize=8)
@@ -514,18 +536,22 @@ def _convolve(f: GridField, *families: tuple[float, object]) -> list[GridField]:
     """f convolved with each kernel of the (order, family) pairs, from one transform of f.
 
     For k kernels on an n-D grid of N points per axis this allocates, besides
-    the cached hats, k half-size spectra of N^(n-1) (N+1) complex points, one
-    of them f's transform, and the k results of N^n points, written one
-    at a time, each spectrum freed once its result is written.  Each worker
-    adds scratch: two slabs (one for a single kernel), then one block of
-    rows, each of at most _SLAB_BYTES or one column or row where that is
-    more; below _PARALLEL_MIN_POINTS they are the whole padded half spectrum
-    of (2N)^(n-1) (N+1) points and all N^(n-1) rows of 2N.  Neither the
+    one cached (N+1)^n hat per family, k half-size spectra of N^(n-1) (N+1)
+    complex points, one of them f's transform, and the k results of N^n
+    points, written one at a time, each spectrum freed once its result is
+    written.  Each worker adds scratch: two slabs (one for a single kernel),
+    then one block of rows, each of at most _SLAB_BYTES or one column or row
+    where that is more; below _PARALLEL_MIN_POINTS they are the whole padded
+    half spectrum of (2N)^(n-1) (N+1) points and all N^(n-1) rows of 2N.  Neither the
     padded spectrum nor a product with a hat is ever held whole above it.
     """
     if f.values.min() < 0.0:  # a GridField holds no NaN
         raise ConfigError("potential of a signed density is not defined here")
     g = f.grid
+    # hats this call does not read go before any it lacks is built, so that
+    # the cache holds no more than one call's kernels
+    for key in _PLAN_CACHE.keys() - {_hat_key(g, order, family) for order, family in families}:
+        del _PLAN_CACHE[key]
     products = [
         _hat_product(hat, odd, g.N)
         for order, family in families

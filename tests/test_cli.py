@@ -120,10 +120,10 @@ def test_run_meta_records_fft_backend_and_workers(solved):
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["fft_backend"].startswith("numpy.fft")
     assert meta["fft_workers"] == available_cpus()
-    # the hats of I_(2s-1), I_2s and the two components of grad I_2s, each
-    # one real float64 octant of (N+1)^n values
+    # the most hats held at once: those of I_2s and of grad I_2s in the
+    # Picard loop, each one real float64 octant of (N+1)^n values
     N = REFERENCE_CONFIG["grid"]["N"]
-    assert meta["plan_cache_bytes"] == 4 * (N + 1) ** 2 * 8
+    assert meta["plan_cache_bytes"] == 2 * (N + 1) ** 2 * 8
     assert meta["peak_rss_mb"] > 0.0
 
 

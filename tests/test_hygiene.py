@@ -1,5 +1,6 @@
 """Source hygiene: fracpot keeps no unused import, no orphaned private name
-and no reference to an undefined global.
+and no reference to an undefined global, and the entry points the benchmark
+harness calls keep their shape.
 
 A refactor that moves work from one module to another tends to leave the
 old imports and helpers behind, or a reader of a name it deleted; this
@@ -9,6 +10,8 @@ imports are the package's re-exports.
 
 import ast
 import builtins
+import dataclasses
+import inspect
 import symtable
 from pathlib import Path
 
@@ -224,3 +227,20 @@ def test_no_bare_value_error_on_outside_input():
         for scope in _value_error_raises(tree, "")
     )
     assert raised == ["capacity.py:CapacityEstimate.__post_init__"] * 2
+
+
+def test_benchmark_entry_points_keep_their_shape():
+    # perfbench/worker.py calls these; a refactor that renames or reorders
+    # them turns every benchmark run into a failure no other test sees
+    from fracpot import capacity, cli, riesz
+
+    inspect.signature(cli.load_config).bind("config.json")
+    inspect.signature(cli.main).bind(["constants"])
+    inspect.signature(riesz.riesz_potential_field).bind(object(), 1.0)
+    # the worker binds estimate_ball_capacity's first four parameters by position
+    ball = list(inspect.signature(capacity.estimate_ball_capacity).parameters)
+    assert ball[:4] == ["x0", "r", "alpha", "p"]
+    max_iter = inspect.signature(capacity.estimate_capacity).parameters["max_iter"]
+    assert max_iter.default is not inspect.Parameter.empty
+    fields = {f.name for f in dataclasses.fields(capacity.CapacityEstimate)}
+    assert fields >= {"value", "upper_bound", "candidate", "iterations", "feasibility_gap"}

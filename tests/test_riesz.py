@@ -276,10 +276,11 @@ def test_octant_hats_are_the_transforms_of_the_padded_kernels(n, N):
             if odd is not None:
                 mirrored *= _odd_factor(n, N, odd)
             assert np.max(np.abs(mirrored - full)) <= 1e-15 * np.max(np.abs(full))
-    held = [hat for hats in riesz._PLAN_CACHE.values() for hat in hats]
-    assert len(held) == 1 + n
+    # one octant per family: the n gradient components share theirs
+    held = list(riesz._PLAN_CACHE.values())
+    assert len(held) == 2
     assert all(h.dtype == np.float64 and h.shape == (N + 1,) * n for h in held)
-    assert riesz.plan_cache_bytes() == (1 + n) * (N + 1) ** n * 8
+    assert riesz.plan_cache_bytes() == 2 * (N + 1) ** n * 8
     clear_plan_cache()
 
 
@@ -310,14 +311,35 @@ def test_hats_equal_scipy_dct1_and_dst1_bitwise(monkeypatch, n, N, workers):
     with fft_workers(workers):
         for order, family in ((1.5, _scalar_kernels), (0.75, _gradient_kernels)):
             hats = riesz._kernel_hats(g, order, family)
-            for (hat, odd), kern in zip(hats, family(g, order, octant)):
-                kern = _zero_offset_n_slots(kern, N)
-                ref = scipy.fft.dctn(kern, type=1, axes=[ax for ax in range(n) if ax != odd])
-                if odd is not None:
-                    inner = (slice(None),) * odd + (slice(1, N),)
-                    ref[inner] = scipy.fft.dst(ref[inner], type=1, axis=odd)
-                assert hat.tobytes() == ref.tobytes()
+            # the scalar kernel, or the gradient component odd in axis 0
+            kern = _zero_offset_n_slots(next(family(g, order, octant)), N)
+            odd = hats[0][1]
+            ref = scipy.fft.dctn(kern, type=1, axes=[ax for ax in range(n) if ax != odd])
+            if odd is not None:
+                ref[1:N] = scipy.fft.dst(ref[1:N], type=1, axis=0)
+            assert hats[0][0].tobytes() == ref.tobytes()
+            # component i reads component 0's octant with axes 0 and i swapped
+            for hat, odd in hats[1:]:
+                assert hat.tobytes() == np.swapaxes(ref, 0, odd).tobytes()
     clear_plan_cache()
+
+
+@pytest.mark.parametrize("n, N", [(2, 16), (3, 8)])
+def test_cache_holds_one_octant_per_family_of_the_running_convolution(n, N):
+    g = Grid(n, 4.0, N)
+    octant = (N + 1) ** n * 8
+    f = _smooth_density(g)
+    clear_plan_cache()
+    riesz_potential_and_gradient_field(f, 0.75)
+    assert len(riesz._PLAN_CACHE) == 2 and riesz.plan_cache_bytes() == 2 * octant
+    grad = riesz._kernel_hats(g, 0.75, _gradient_kernels)
+    assert all(np.shares_memory(hat, grad[0][0]) for hat, _ in grad[1:])
+    # another order releases both before its own hat is built
+    riesz_potential_field(f, 0.5)
+    assert riesz.plan_cache_bytes() == octant
+    assert riesz.plan_cache_peak_bytes() == 2 * octant
+    clear_plan_cache()
+    assert riesz.plan_cache_peak_bytes() == 0
 
 
 @pytest.mark.parametrize("n, N", [(2, 48), (3, 12)])
