@@ -11,6 +11,7 @@ JSON file the program reads is parsed by read_json and checked by read_object.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -105,11 +106,18 @@ def read_field(path: Path | str) -> GridField:
         grid = Grid(**read_object(read_json(sidecar, GridMismatch), _SIDECAR, where, GridMismatch))
     except ConfigError as exc:
         raise GridMismatch(f"{where}: {exc}") from exc
-    data = path.read_bytes()
-    if len(data) != 8 * grid.size:
-        raise GridMismatch(f"{path} holds {len(data)} bytes, its sidecar promises "
+    # the file is read straight into the field's array, never into a copy,
+    # and only once its size is known to fit
+    with path.open("rb") as stream:
+        size = os.fstat(stream.fileno()).st_size
+        if size == 8 * grid.size:
+            values = np.empty(grid.shape, dtype="<f8")
+            # a file cut short while it is read counts the bytes read
+            size = stream.readinto(values)
+    if size != 8 * grid.size:
+        raise GridMismatch(f"{path} holds {size} bytes, its sidecar promises "
                            f"{grid.size} float64 values ({8 * grid.size} bytes)")
-    return GridField(grid, np.frombuffer(data, dtype="<f8").reshape(grid.shape).copy())
+    return GridField(grid, values)
 
 
 def measure_to_dict(measure: Measure, density_file: str | None = None) -> dict:

@@ -33,12 +33,15 @@ gradient components share one such array, each reading it with two axes
 swapped, and the cache keeps only the hats of the convolution that runs.
 I_2s and its gradient share one forward transform, or one pass over the
 atoms.  The padded spectrum is never held whole: after the last-axis rfft, its
-columns stream in cache-sized slabs through the leading-axis transforms,
-the products with the hats and the inverses, and only half-size spectra,
-one per kernel, wait for the last-axis irfft.  One pipeline, _filtered,
-runs every convolution, and each of its transforms equals scipy.fft's bit
-for bit.  Large transforms split their slabs and row blocks over every
-available CPU (fft_workers changes the count), which never changes a result.
+columns stream in cache-sized slabs, never narrower than 8 columns, through
+the leading-axis transforms, the products with the hats and the inverses,
+and only half-size spectra, one per kernel, wait for the last-axis irfft.
+The first kernel's result may go into an array the caller passes, the
+density's own included, since the rfft has read it by then.  One pipeline,
+_filtered, runs every convolution, and each of its transforms equals
+scipy.fft's bit for bit.  Large transforms split their slabs and row blocks
+over every available CPU (fft_workers changes the count), which never
+changes a result.
 
 Differentiating |x - y|^(2s - n) gives the vector kernel
 
@@ -195,11 +198,14 @@ def atom_quadrature_correction(
 _PARALLEL_MIN_POINTS = 2**20
 
 # Lines a hat transform extends and transforms at a time, and the bytes of
-# one slab of spectrum columns or one block of result rows a convolution
-# transforms at a time above _PARALLEL_MIN_POINTS, so that each worker's
-# scratch stays in cache.
+# one block of data or result rows or one slab of spectrum columns a
+# convolution transforms at a time above _PARALLEL_MIN_POINTS, so that each
+# worker's scratch stays in cache.  A slab is never narrower than
+# _SLAB_MIN_COLUMNS: the hat products run along its columns, and 8 complex
+# values are two 64-byte cache lines per slab row.
 _HAT_CHUNK_LINES = 64
-_SLAB_BYTES = 2**21
+_SLAB_BYTES = 2**20
+_SLAB_MIN_COLUMNS = 8
 
 FFT_BACKEND = f"numpy.fft (pocketfft), numpy {np.__version__}"
 
@@ -293,13 +299,14 @@ def _inverse_crop(slab: np.ndarray, crop: tuple[int, ...]) -> np.ndarray:
 
 
 def _filtered(values: np.ndarray, padded: tuple[int, ...], products: list,
-              scale: float) -> list[np.ndarray]:
+              scale: float, out: np.ndarray | None = None) -> list[np.ndarray]:
     """Per product, scale * irfftn(product(rfftn(values, s=padded)), s=padded), cropped.
 
     The crop keeps the first values.shape points.  product(slab, cols, out)
     writes into out the slab, which holds the spectrum's last-axis
     frequencies cols, times the multiplier's columns cols; out may be the
-    slab itself.
+    slab itself.  The first product's result goes into out when it is given,
+    a C-contiguous float64 array of values.shape, which may be values itself.
 
     The rfft of the data lines fills a half-size spectrum of values.shape[:-1]
     + (padded[-1] // 2 + 1,) points.  Its columns then pass in slabs through
@@ -309,15 +316,16 @@ def _filtered(values: np.ndarray, padded: tuple[int, ...], products: list,
     runs in row blocks straight into the scaled results, each spectrum freed
     once its result is written.  Each line goes through the numpy.fft call
     and the axis order of irfftn(rfftn), so the slabs change no bit.  Above
-    _PARALLEL_MIN_POINTS a slab or block holds about _SLAB_BYTES and the
-    workers share them; below, it is the whole spectrum on one worker.
+    _PARALLEL_MIN_POINTS a row block holds about _SLAB_BYTES, a slab too but
+    never fewer than _SLAB_MIN_COLUMNS columns, and the workers share them;
+    below, it is the whole spectrum on one worker.
     """
     crop, points = values.shape, math.prod(padded)
     lead, cols = padded[:-1], padded[-1] // 2 + 1
     rows = math.prod(crop[:-1])
 
-    def step(count: int, item_bytes: int) -> int:
-        return count if points < _PARALLEL_MIN_POINTS else max(1, _SLAB_BYTES // item_bytes)
+    def step(count: int, item_bytes: int, least: int = 1) -> int:
+        return count if points < _PARALLEL_MIN_POINTS else max(least, _SLAB_BYTES // item_bytes)
 
     spectra = [np.empty(crop[:-1] + (cols,), dtype=complex) for _ in products]
     source = spectra[-1]
@@ -328,7 +336,7 @@ def _filtered(values: np.ndarray, padded: tuple[int, ...], products: list,
             np.fft.rfft(lines[a:b], n=padded[-1], axis=-1, out=source_rows[a:b])
 
     _in_chunks(forward, rows, step(rows, 16 * cols), points)
-    width = step(cols, 16 * math.prod(lead))
+    width = step(cols, 16 * math.prod(lead), _SLAB_MIN_COLUMNS)
 
     def slabs(run):
         scratch = np.empty(lead + (width,), dtype=complex)
@@ -337,30 +345,31 @@ def _filtered(values: np.ndarray, padded: tuple[int, ...], products: list,
             slab = scratch[..., : b - a]
             _pad_forward(source[..., a:b], slab, crop)
             for product, spectrum in zip(products, spectra):
-                out = slab if spectrum is source else spare[..., : b - a]
-                product(slab, slice(a, b), out)
-                spectrum[..., a:b] = _inverse_crop(out, crop)
+                dst = slab if spectrum is source else spare[..., : b - a]
+                product(slab, slice(a, b), dst)
+                spectrum[..., a:b] = _inverse_crop(dst, crop)
 
     _in_chunks(slabs, cols, width, points)
     # from here only spectra holds them, so each goes once its result is written
     del source, source_rows
     block = step(rows, 8 * padded[-1])
 
-    def inverse(spectrum: np.ndarray) -> np.ndarray:
-        out = np.empty(crop)
-        spectrum_rows, out_rows = spectrum.reshape(rows, cols), out.reshape(rows, crop[-1])
+    def inverse(spectrum: np.ndarray, result: np.ndarray | None) -> np.ndarray:
+        if result is None:
+            result = np.empty(crop)
+        spectrum_rows, result_rows = spectrum.reshape(rows, cols), result.reshape(rows, crop[-1])
 
         def work(run):
             scratch = np.empty((block, padded[-1]))
             for a, b in run:
                 line = scratch[: b - a]
                 np.fft.irfft(spectrum_rows[a:b], n=padded[-1], axis=-1, out=line)
-                np.multiply(line[:, : crop[-1]], scale, out=out_rows[a:b])
+                np.multiply(line[:, : crop[-1]], scale, out=result_rows[a:b])
 
         _in_chunks(work, rows, block, points)
-        return out
+        return result
 
-    return [inverse(spectra.pop(0)) for _ in products]
+    return [inverse(spectra.pop(0), result) for result in [out] + [None] * (len(products) - 1)]
 
 
 def _real_line_transform(hat: np.ndarray, axis: int, odd: bool, points: int) -> None:
@@ -532,22 +541,30 @@ def _hat_product(hat: np.ndarray, odd, N: int):
     return product
 
 
-def _convolve(f: GridField, *families: tuple[float, object]) -> list[GridField]:
+def _convolve(f: GridField, *families: tuple[float, object],
+              out: np.ndarray | None = None) -> list[GridField]:
     """f convolved with each kernel of the (order, family) pairs, from one transform of f.
 
     For k kernels on an n-D grid of N points per axis this allocates, besides
     one cached (N+1)^n hat per family, k half-size spectra of N^(n-1) (N+1)
     complex points, one of them f's transform, and the k results of N^n
     points, written one at a time, each spectrum freed once its result is
-    written.  Each worker adds scratch: two slabs (one for a single kernel),
-    then one block of rows, each of at most _SLAB_BYTES or one column or row
-    where that is more; below _PARALLEL_MIN_POINTS they are the whole padded
-    half spectrum of (2N)^(n-1) (N+1) points and all N^(n-1) rows of 2N.  Neither the
-    padded spectrum nor a product with a hat is ever held whole above it.
+    written.  The first result goes into out instead when it is given, a
+    C-contiguous float64 array of the grid's shape; f.values itself may be
+    out, as the transform of f is taken before any result is written.  Each
+    worker adds scratch: two slabs (one for a single kernel), then one block
+    of rows, each of at most _SLAB_BYTES or one row or _SLAB_MIN_COLUMNS
+    columns where that is more; below _PARALLEL_MIN_POINTS they are the whole
+    padded half spectrum of (2N)^(n-1) (N+1) points and all N^(n-1) rows of
+    2N.  Neither the padded spectrum nor a product with a hat is ever held
+    whole above it.
     """
     if f.values.min() < 0.0:  # a GridField holds no NaN
         raise ConfigError("potential of a signed density is not defined here")
     g = f.grid
+    if out is not None and (out.shape != g.shape or out.dtype != np.float64
+                            or not out.flags.c_contiguous):
+        raise ConfigError(f"out must be a C-contiguous float64 array of shape {g.shape}")
     # hats this call does not read go before any it lacks is built, so that
     # the cache holds no more than one call's kernels
     for key in _PLAN_CACHE.keys() - {_hat_key(g, order, family) for order, family in families}:
@@ -557,7 +574,7 @@ def _convolve(f: GridField, *families: tuple[float, object]) -> list[GridField]:
         for order, family in families
         for hat, odd in _kernel_hats(g, order, family)
     ]
-    results = _filtered(f.values, (2 * g.N,) * g.n, products, g.cell_volume)
+    results = _filtered(f.values, (2 * g.N,) * g.n, products, g.cell_volume, out)
     return [GridField(g, v) for v in results]
 
 
@@ -567,13 +584,15 @@ def riesz_potential_field(f: GridField, alpha: float) -> GridField:
 
 
 def riesz_potential_and_gradient_field(
-    f: GridField, s: float
+    f: GridField, s: float, out: np.ndarray | None = None
 ) -> tuple[GridField, VectorGridField]:
     """I_2s f and grad I_2s f from one forward transform of f.
 
     Each output is bitwise equal to a convolution of f with its kernel alone.
+    I_2s f is written into out when it is given (see _convolve), which may
+    be f.values: f then holds I_2s f afterwards.
     """
-    u, *grad = _convolve(f, (2.0 * s, _scalar_kernels), (s, _gradient_kernels))
+    u, *grad = _convolve(f, (2.0 * s, _scalar_kernels), (s, _gradient_kernels), out=out)
     return u, VectorGridField(f.grid, tuple(grad))
 
 

@@ -264,9 +264,12 @@ def _iterate(
         # each field of the step is dropped once used, so that none of them
         # is still held through the next step's convolution
         del mag
-        pot, pot_grad = riesz_potential_and_gradient_field(gq, params.s)
+        # I_2s lands in gq's array, which the forward transform has read by
+        # then, so the step allocates no result while the spectra are held
+        pot, pot_grad = riesz_potential_and_gradient_field(gq, params.s, out=gq.values)
         del gq
-        # the potentials are fresh arrays, so each takes its datum term in place
+        # the potentials are arrays of this step alone, so each takes its
+        # datum term in place
         u_next = np.add(pot.values, u0.values, out=pot.values)
         g_next = [np.add(c.values, g, out=c.values) for c, g in zip(pot_grad.components, g0_vals)]
         del pot, pot_grad

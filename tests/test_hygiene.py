@@ -12,7 +12,10 @@ import ast
 import builtins
 import dataclasses
 import inspect
+import os
+import subprocess
 import symtable
+import sys
 from pathlib import Path
 
 import pytest
@@ -244,3 +247,14 @@ def test_benchmark_entry_points_keep_their_shape():
     assert max_iter.default is not inspect.Parameter.empty
     fields = {f.name for f in dataclasses.fields(capacity.CapacityEstimate)}
     assert fields >= {"value", "upper_bound", "candidate", "iterations", "feasibility_gap"}
+
+
+def test_start_up_loads_no_thread_pool_or_queue():
+    # the engine imports its thread pool on the first large transform, so
+    # that importing the CLI, which every command pays, stays cheap
+    code = ("import sys, fracpot.cli; "
+            "print(sorted({'concurrent.futures', 'queue'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"

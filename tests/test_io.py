@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,24 @@ def test_field_round_trip_is_bitwise(tmp_path, grid):
     g = read_field(path)
     assert g.grid == grid
     assert np.array_equal(g.values, f.values)
+
+
+def test_field_is_read_into_its_array_without_a_copy(tmp_path):
+    # a 128^2 field is 128 KiB: the read holds it once, not once as bytes
+    # and once as the array
+    grid = Grid(2, 4.0, 128)
+    f = GridField(grid, np.random.default_rng(4).standard_normal(grid.shape))
+    write_field(f, tmp_path / "u.field")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = read_field(tmp_path / "u.field")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert g.values.tobytes() == f.values.tobytes()
+    # the finiteness check's mask is an eighth of the field
+    assert peak < 1.25 * f.values.nbytes
 
 
 def test_field_sidecar_records_grid(tmp_path, grid):

@@ -254,12 +254,45 @@ def _odd_factor(n: int, N: int, odd: int) -> np.ndarray:
     return np.where(backwards, 1j, -1j)
 
 
+def _cuts(monkeypatch, n: int, N: int) -> tuple[list[int], list[int]]:
+    """The chunk count of each stage one convolution on N^n points runs, and its slab widths, in order."""
+    counts, widths = [], []
+    in_chunks, pad_forward = riesz._in_chunks, riesz._pad_forward
+
+    def count_spy(work, count, step, points):
+        counts.append(-(-count // step))
+        in_chunks(work, count, step, points)
+
+    def width_spy(src, slab, crop):
+        widths.append(slab.shape[-1])
+        pad_forward(src, slab, crop)
+
+    with monkeypatch.context() as m:
+        m.setattr(riesz, "_in_chunks", count_spy)
+        m.setattr(riesz, "_pad_forward", width_spy)
+        with fft_workers(1):
+            riesz._filtered(np.ones((N,) * n), (2 * N,) * n, [lambda slab, cols, out: None], 1.0)
+    return counts, widths
+
+
 def _slabs(monkeypatch, n: int, N: int) -> None:
-    """Make a convolution on N^n points run over the workers in slabs that leave a ragged last one."""
-    width = 5 if n == 2 else 2
-    assert (N + 1) % width
+    """Make a convolution on N^n points cut each stage into several chunks, the slabs leaving a ragged last one."""
     monkeypatch.setattr(riesz, "_PARALLEL_MIN_POINTS", 1)
-    monkeypatch.setattr(riesz, "_SLAB_BYTES", 16 * (2 * N) ** (n - 1) * width)
+    monkeypatch.setattr(riesz, "_SLAB_MIN_COLUMNS", 1)
+    monkeypatch.setattr(riesz, "_SLAB_BYTES", 16 * (2 * N) ** (n - 1) * (5 if n == 2 else 2))
+    counts, (*full, last) = _cuts(monkeypatch, n, N)
+    # the forward rows, the slabs and the inverse row blocks all go over the workers
+    assert len(counts) == 3 and min(counts) > 1
+    assert full and len(set(full)) == 1 and 0 < last < full[0]
+
+
+def test_slabs_are_never_narrower_than_eight_columns(monkeypatch):
+    # a budget of 2 columns at n=3 still gives 8, so that the hat products
+    # run over two cache lines per slab row; 13 columns leave a ragged 5
+    n, N = 3, 12
+    monkeypatch.setattr(riesz, "_PARALLEL_MIN_POINTS", 1)
+    monkeypatch.setattr(riesz, "_SLAB_BYTES", 16 * (2 * N) ** (n - 1) * 2)
+    assert _cuts(monkeypatch, n, N)[1] == [8, 5]
 
 
 @pytest.mark.parametrize("n, N", [(2, 16), (3, 8)])
@@ -413,6 +446,43 @@ def test_convolution_holds_no_padded_spectrum(monkeypatch):
     # 64 KiB covers the Python objects and the small temporaries
     assert k * half <= peak <= k * half + result + workers * 2 * budget + 2**16
     assert peak < 2 * padded
+
+
+def test_potential_goes_into_the_density_array_it_was_given(monkeypatch):
+    # the same convolution as above, with I_2s written into f's own array:
+    # k = 3 half-size spectra and each worker's scratch, and no result
+    g, workers, budget = Grid(2, 8.0, 256), 2, 2**16
+    monkeypatch.setattr(riesz, "_PARALLEL_MIN_POINTS", 1)
+    monkeypatch.setattr(riesz, "_SLAB_BYTES", budget)
+    k, N = 3, g.N
+    half = 16 * N * (N + 1)
+    clear_plan_cache()
+    with fft_workers(workers):
+        u_ref, grad_ref = riesz_potential_and_gradient_field(_smooth_density(g), 0.75)
+        f = _smooth_density(g)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            u, grad = riesz_potential_and_gradient_field(f, 0.75, out=f.values)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    clear_plan_cache()
+    # 64 KiB a worker covers the Python objects and the small temporaries,
+    # numpy's buffers for the real-by-complex hat products among them, which
+    # both workers may hold at once; a result would add 512 KiB
+    assert k * half <= peak <= k * half + workers * (2 * budget + 2**16)
+    assert np.shares_memory(u.values, f.values)
+    for got, ref in zip([u, *grad.components], [u_ref, *grad_ref.components]):
+        assert got.values.tobytes() == ref.values.tobytes()
+
+
+@pytest.mark.parametrize("out", [np.zeros((16, 15)), np.zeros((16, 16), dtype=np.float32),
+                                 np.zeros((16, 32))[:, ::2]])
+def test_result_array_of_another_shape_or_layout_is_refused(out):
+    f = _smooth_density(Grid(2, 8.0, 16))
+    with pytest.raises(ConfigError, match="out must be"):
+        riesz_potential_and_gradient_field(f, 0.75, out=out)
 
 
 def test_workers_follow_the_transform_size():
