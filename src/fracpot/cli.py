@@ -167,7 +167,8 @@ def _outdir(path: Path | str) -> Path:
     return outdir
 
 
-def _write_run_meta(outdir: Path, args_threads: int | None) -> None:
+def _write_run_meta(outdir: Path, args_threads: int | None,
+                    picard_step_s: list | None = None) -> None:
     meta = {
         "package_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -177,6 +178,8 @@ def _write_run_meta(outdir: Path, args_threads: int | None) -> None:
         "plan_cache_bytes": plan_cache_peak_bytes(),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
+    if picard_step_s is not None:
+        meta["picard_step_s"] = picard_step_s
     dump_report(meta, outdir / "run_meta.json")
 
 
@@ -205,7 +208,7 @@ def cmd_solve(args) -> int:
     write_measure(omega, outdir / "measure.json")
     out = report.to_dict() | {"scale_factor": scale_factor, "config_echo": sc.config}
     dump_report(out, outdir / "report.json")
-    _write_run_meta(outdir, args.threads)
+    _write_run_meta(outdir, args.threads, picard_step_s=report.picard_step_s)
     print(f"converged={report.converged} iterations={report.iterations}")
     print(f"report: {outdir / 'report.json'}")
     return 0 if report.converged and report.checks_ok else 1

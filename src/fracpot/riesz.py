@@ -36,12 +36,15 @@ atoms.  The padded spectrum is never held whole: after the last-axis rfft, its
 columns stream in cache-sized slabs, never narrower than 8 columns, through
 the leading-axis transforms, the products with the hats and the inverses,
 and only half-size spectra, one per kernel, wait for the last-axis irfft.
-The first kernel's result may go into an array the caller passes, the
-density's own included, since the rfft has read it by then.  One pipeline,
-_filtered, runs every convolution, and each of its transforms equals
-scipy.fft's bit for bit.  Large transforms split their slabs and row blocks
-over every available CPU (fft_workers changes the count), which never
-changes a result.
+One pipeline, _filtered, runs every convolution, and each of its transforms
+equals scipy.fft's bit for bit.  It reads the density a block of rows at a
+time from its caller and hands each block of rows of the results back, so a
+caller may form the density as the rfft reads it and consume the results
+as the irfft writes them, holding neither whole (the Picard step does, see
+riesz_potential_and_gradient_rows); the field functions read an array and
+write new ones.  Large transforms split their slabs and row blocks over
+every available CPU (fft_workers changes the count), which never changes a
+result.
 
 Differentiating |x - y|^(2s - n) gives the vector kernel
 
@@ -189,8 +192,8 @@ def atom_quadrature_correction(
 # that scipy.fft runs, and every pass below hands it the lines, the axis
 # order and the scaling scipy.fft would, so each result equals scipy.fft's
 # bit for bit.  One pipeline, _filtered, runs every convolution: the rfft of
-# the data lines, then slabs of last-axis frequency columns through
-# per-worker scratch, then the irfft in row blocks.
+# the data rows its caller forms, then slabs of last-axis frequency columns
+# through per-worker scratch, then the irfft in row blocks its caller takes.
 
 # Transforms of at least this many padded points split their slabs and
 # blocks over every worker; a smaller one is one slab and one block on one
@@ -298,29 +301,34 @@ def _inverse_crop(slab: np.ndarray, crop: tuple[int, ...]) -> np.ndarray:
     return slab
 
 
-def _filtered(values: np.ndarray, padded: tuple[int, ...], products: list,
-              scale: float, out: np.ndarray | None = None) -> list[np.ndarray]:
-    """Per product, scale * irfftn(product(rfftn(values, s=padded)), s=padded), cropped.
+def _filtered(crop: tuple[int, ...], padded: tuple[int, ...], products: list, read, sinks) -> None:
+    """Per product, irfftn(product(rfftn(data, s=padded)), s=padded), cropped to crop, row by row.
 
-    The crop keeps the first values.shape points.  product(slab, cols, out)
-    writes into out the slab, which holds the spectrum's last-axis
-    frequencies cols, times the multiplier's columns cols; out may be the
-    slab itself.  The first product's result goes into out when it is given,
-    a C-contiguous float64 array of values.shape, which may be values itself.
+    The rows are the lines of the data and of each result along the last
+    axis, in C order.  read(a, b) returns rows a..b-1 of the data, a
+    (b - a, crop[-1]) float64 array.  product(slab, cols, out) writes into
+    out the slab, which holds the spectrum's last-axis frequencies cols,
+    times the multiplier's columns cols; out may be the slab itself.  sinks
+    yields (count, write) pairs, each taking the next count products, and
+    write(a, b, lines) receives rows a..b-1 of their results, unscaled, as
+    count (b - a, crop[-1]) views of scratch, which it may overwrite.  read
+    and write run on the workers, on disjoint rows at once.
 
-    The rfft of the data lines fills a half-size spectrum of values.shape[:-1]
-    + (padded[-1] // 2 + 1,) points.  Its columns then pass in slabs through
+    The rfft of the data rows fills a half-size spectrum of crop[:-1] +
+    (padded[-1] // 2 + 1,) points.  Its columns then pass in slabs through
     scratch: padded and transformed along the leading axes, multiplied by
     each product, transformed back and cropped into one half-size spectrum
-    per product, the last of which overwrites the input's.  Last, the irfft
-    runs in row blocks straight into the scaled results, each spectrum freed
-    once its result is written.  Each line goes through the numpy.fft call
-    and the axis order of irfftn(rfftn), so the slabs change no bit.  Above
-    _PARALLEL_MIN_POINTS a row block holds about _SLAB_BYTES, a slab too but
-    never fewer than _SLAB_MIN_COLUMNS columns, and the workers share them;
-    below, it is the whole spectrum on one worker.
+    per product, the last of which overwrites the input's.  Last, each
+    sink's spectra pass the irfft in row blocks, every block of every one of
+    them going to write together, and are freed once they have.  Each line
+    goes through the numpy.fft call and the axis order of irfftn(rfftn), so
+    the slabs and blocks change no bit.  Above _PARALLEL_MIN_POINTS a block
+    of data rows holds about _SLAB_BYTES of spectrum, a slab too but never
+    fewer than _SLAB_MIN_COLUMNS columns, and a block of result rows that
+    much per product of its sink, and the workers share them; below, each is
+    the whole spectrum on one worker.
     """
-    crop, points = values.shape, math.prod(padded)
+    points = math.prod(padded)
     lead, cols = padded[:-1], padded[-1] // 2 + 1
     rows = math.prod(crop[:-1])
 
@@ -329,11 +337,11 @@ def _filtered(values: np.ndarray, padded: tuple[int, ...], products: list,
 
     spectra = [np.empty(crop[:-1] + (cols,), dtype=complex) for _ in products]
     source = spectra[-1]
-    lines, source_rows = values.reshape(rows, crop[-1]), source.reshape(rows, cols)
+    source_rows = source.reshape(rows, cols)
 
     def forward(run):
         for a, b in run:
-            np.fft.rfft(lines[a:b], n=padded[-1], axis=-1, out=source_rows[a:b])
+            np.fft.rfft(read(a, b), n=padded[-1], axis=-1, out=source_rows[a:b])
 
     _in_chunks(forward, rows, step(rows, 16 * cols), points)
     width = step(cols, 16 * math.prod(lead), _SLAB_MIN_COLUMNS)
@@ -350,26 +358,40 @@ def _filtered(values: np.ndarray, padded: tuple[int, ...], products: list,
                 spectrum[..., a:b] = _inverse_crop(dst, crop)
 
     _in_chunks(slabs, cols, width, points)
-    # from here only spectra holds them, so each goes once its result is written
+    # from here only spectra holds them, so each goes once its sink has its rows
     del source, source_rows
-    block = step(rows, 8 * padded[-1])
+    spectra = [spectrum.reshape(rows, cols) for spectrum in spectra]
+    while spectra:
+        count, write = next(sinks)
+        group, spectra = spectra[:count], spectra[count:]
+        block = step(rows, 8 * padded[-1] * count)
 
-    def inverse(spectrum: np.ndarray, result: np.ndarray | None) -> np.ndarray:
-        if result is None:
-            result = np.empty(crop)
-        spectrum_rows, result_rows = spectrum.reshape(rows, cols), result.reshape(rows, crop[-1])
-
-        def work(run):
-            scratch = np.empty((block, padded[-1]))
+        def inverse(run):
+            scratch = [np.empty((block, padded[-1])) for _ in group]
             for a, b in run:
-                line = scratch[: b - a]
-                np.fft.irfft(spectrum_rows[a:b], n=padded[-1], axis=-1, out=line)
-                np.multiply(line[:, : crop[-1]], scale, out=result_rows[a:b])
+                lines = []
+                for spectrum, buffer in zip(group, scratch):
+                    line = buffer[: b - a]
+                    np.fft.irfft(spectrum[a:b], n=padded[-1], axis=-1, out=line)
+                    lines.append(line[:, : crop[-1]])
+                write(a, b, lines)
 
-        _in_chunks(work, rows, block, points)
-        return result
+        _in_chunks(inverse, rows, block, points)
+        # before the next sink allocates anything
+        del group
 
-    return [inverse(spectra.pop(0), result) for result in [out] + [None] * (len(products) - 1)]
+
+def _new_results(shape: tuple[int, ...], scale: float, results: list):
+    """Sinks for _filtered that write scale times each product's result into a new array.
+
+    Each array is appended to results when its product's pass starts, so
+    that none is held while the spectra of the products before it are.
+    """
+    while True:
+        result = np.empty(shape)
+        results.append(result)
+        result_rows = result.reshape(-1, shape[-1])
+        yield 1, lambda a, b, lines, rows=result_rows: np.multiply(lines[0], scale, out=rows[a:b])
 
 
 def _real_line_transform(hat: np.ndarray, axis: int, odd: bool, points: int) -> None:
@@ -541,59 +563,74 @@ def _hat_product(hat: np.ndarray, odd, N: int):
     return product
 
 
-def _convolve(f: GridField, *families: tuple[float, object],
-              out: np.ndarray | None = None) -> list[GridField]:
+def _convolve(grid: Grid, read, sinks, *families: tuple[float, object]) -> None:
+    """The density whose rows read gives, convolved with each kernel of the (order, family) pairs.
+
+    One transform of the density serves every kernel, and the results go to
+    sinks row block by row block, unscaled (see _filtered).  For k kernels on
+    an n-D grid of N points per axis this allocates, besides one cached
+    (N+1)^n hat per family and what read and the sinks allocate, k half-size
+    spectra of N^(n-1) (N+1) complex points, one of them the density's
+    transform, those of a sink freed once it has all their rows.  Each
+    worker adds scratch: two slabs (one for a single kernel), each of at
+    most _SLAB_BYTES or _SLAB_MIN_COLUMNS columns where that is more, then
+    one block of rows per kernel of a sink, of at most _SLAB_BYTES in all or
+    one row each; below _PARALLEL_MIN_POINTS they are the whole padded half
+    spectrum of (2N)^(n-1) (N+1) points and all N^(n-1) rows of 2N.  Neither
+    the padded spectrum nor a product with a hat is ever held whole above it.
+    """
+    # hats this call does not read go before any it lacks is built, so that
+    # the cache holds no more than one call's kernels
+    for key in _PLAN_CACHE.keys() - {_hat_key(grid, order, family) for order, family in families}:
+        del _PLAN_CACHE[key]
+    products = [
+        _hat_product(hat, odd, grid.N)
+        for order, family in families
+        for hat, odd in _kernel_hats(grid, order, family)
+    ]
+    _filtered(grid.shape, (2 * grid.N,) * grid.n, products, read, sinks)
+
+
+def _convolve_field(f: GridField, *families: tuple[float, object]) -> list[GridField]:
     """f convolved with each kernel of the (order, family) pairs, from one transform of f.
 
-    For k kernels on an n-D grid of N points per axis this allocates, besides
-    one cached (N+1)^n hat per family, k half-size spectra of N^(n-1) (N+1)
-    complex points, one of them f's transform, and the k results of N^n
-    points, written one at a time, each spectrum freed once its result is
-    written.  The first result goes into out instead when it is given, a
-    C-contiguous float64 array of the grid's shape; f.values itself may be
-    out, as the transform of f is taken before any result is written.  Each
-    worker adds scratch: two slabs (one for a single kernel), then one block
-    of rows, each of at most _SLAB_BYTES or one row or _SLAB_MIN_COLUMNS
-    columns where that is more; below _PARALLEL_MIN_POINTS they are the whole
-    padded half spectrum of (2N)^(n-1) (N+1) points and all N^(n-1) rows of
-    2N.  Neither the padded spectrum nor a product with a hat is ever held
-    whole above it.
+    The results are new arrays of the grid's shape, written one at a time,
+    each once the spectra of those before it are freed.
     """
     if f.values.min() < 0.0:  # a GridField holds no NaN
         raise ConfigError("potential of a signed density is not defined here")
-    g = f.grid
-    if out is not None and (out.shape != g.shape or out.dtype != np.float64
-                            or not out.flags.c_contiguous):
-        raise ConfigError(f"out must be a C-contiguous float64 array of shape {g.shape}")
-    # hats this call does not read go before any it lacks is built, so that
-    # the cache holds no more than one call's kernels
-    for key in _PLAN_CACHE.keys() - {_hat_key(g, order, family) for order, family in families}:
-        del _PLAN_CACHE[key]
-    products = [
-        _hat_product(hat, odd, g.N)
-        for order, family in families
-        for hat, odd in _kernel_hats(g, order, family)
-    ]
-    results = _filtered(f.values, (2 * g.N,) * g.n, products, g.cell_volume, out)
+    g, results = f.grid, []
+    lines = f.values.reshape(-1, g.N)
+    _convolve(g, lambda a, b: lines[a:b], _new_results(g.shape, g.cell_volume, results), *families)
     return [GridField(g, v) for v in results]
 
 
 def riesz_potential_field(f: GridField, alpha: float) -> GridField:
     """I_alpha of a nonnegative gridded density, by zero-padded FFT convolution."""
-    return _convolve(f, (alpha, _scalar_kernels))[0]
+    return _convolve_field(f, (alpha, _scalar_kernels))[0]
 
 
-def riesz_potential_and_gradient_field(
-    f: GridField, s: float, out: np.ndarray | None = None
-) -> tuple[GridField, VectorGridField]:
-    """I_2s f and grad I_2s f from one forward transform of f.
+def riesz_potential_and_gradient_rows(grid: Grid, s: float, read, write) -> None:
+    """I_2s and grad I_2s of a density formed row block by row block, handed on the same way.
 
-    Each output is bitwise equal to a convolution of f with its kernel alone.
-    I_2s f is written into out when it is given (see _convolve), which may
-    be f.values: f then holds I_2s f afterwards.
+    The rows are the grid's lines along its last axis, in C order, and the
+    density must be nonnegative, which is not checked.  read(a, b) returns
+    rows a..b-1 of the density as a (b - a, N) array; write(a, b, blocks)
+    receives rows a..b-1 of I_2s and of each gradient component, 1 + n
+    (b - a, N) views of scratch, which it may overwrite.  Both run on
+    the workers, on disjoint rows at once.  The blocks are bitwise those of
+    the density's convolution with each kernel alone, and no result is ever
+    held whole.
     """
-    u, *grad = _convolve(f, (2.0 * s, _scalar_kernels), (s, _gradient_kernels), out=out)
-    return u, VectorGridField(f.grid, tuple(grad))
+    scale = grid.cell_volume
+
+    def scaled(a, b, lines):
+        for line in lines:
+            np.multiply(line, scale, out=line)
+        write(a, b, lines)
+
+    _convolve(grid, read, iter([(1 + grid.n, scaled)]),
+              (2.0 * s, _scalar_kernels), (s, _gradient_kernels))
 
 
 def _measure_potentials(measure: Measure, grid: Grid, *families) -> list[GridField]:
@@ -605,7 +642,7 @@ def _measure_potentials(measure: Measure, grid: Grid, *families) -> list[GridFie
     if measure.dimension != grid.n:
         raise GridMismatch(f"{measure.dimension}-D measure on a {grid.n}-D grid")
     if measure.kind != "atomic":
-        return _convolve(measure.as_density(grid), *families)
+        return _convolve_field(measure.as_density(grid), *families)
 
     def kernels(offsets):
         return (k for order, family in families for k in family(grid, order, offsets))

@@ -17,6 +17,7 @@ reuses.  verify builds its one u0 itself.
 
 from __future__ import annotations
 
+import time
 from collections.abc import Collection
 from dataclasses import asdict, dataclass, field
 
@@ -29,8 +30,8 @@ from .errors import ConfigError, Diverged, NotAdmissible
 from .fraclap import default_test_functions, weak_residual
 from .riesz import (
     gradient_comparison_constant,
-    riesz_potential_and_gradient_field,
     riesz_potential_and_gradient_measure,
+    riesz_potential_and_gradient_rows,
     riesz_potential_field,
 )
 
@@ -122,10 +123,13 @@ class SolveReport:
     checks_ok: bool = False
     admissibility: dict = field(default_factory=dict)
     ledger: dict = field(default_factory=dict)
+    # wall seconds of each Picard step; run_meta.json carries them, since
+    # report.json is byte for byte the same from run to run
+    picard_step_s: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         out = asdict(self)
-        del out["checks_ok"]
+        del out["checks_ok"], out["picard_step_s"]
         return out
 
 
@@ -226,6 +230,63 @@ def picard_solve(
     return u, grad, report
 
 
+def _picard_step(
+    params: Parameters,
+    grid: Grid,
+    u0: np.ndarray,
+    g0: list[np.ndarray],
+    u: np.ndarray,
+    grad: list[np.ndarray],
+) -> tuple[float, float, float]:
+    """u_{k+1} = I_2s(|grad u_k|^q) + u0 and its gradient plus grad u0, over u and grad in place.
+
+    Returns sup |u_{k+1} - u_k|, sup |grad u_k - grad u_{k+1}| and
+    sup |u_{k+1}|.  The step is one convolution, streamed: each block of
+    |grad u_k|^q rows is formed as the forward transform reads it, and each
+    block of rows of the potentials takes its datum term, yields its share of
+    the three sups and replaces the same rows of u and grad as the inverse
+    writes it, so no grid-sized array is allocated.  Every value is bitwise
+    that of the same operations on whole arrays, and each sup is an exact
+    maximum of the blocks' maxima.
+    """
+    N = grid.N
+    u0_rows, u_rows = u0.reshape(-1, N), u.reshape(-1, N)
+    g0_rows = [g.reshape(-1, N) for g in g0]
+    g_rows = [g.reshape(-1, N) for g in grad]
+    maxima = []
+
+    def read(a, b):
+        gq = squared_norm([g[a:b] for g in g_rows])
+        np.sqrt(gq, out=gq)
+        gq **= params.q
+        return gq
+
+    def write(a, b, blocks):
+        pot, *comps = blocks
+        np.add(pot, u0_rows[a:b], out=pot)
+        # u's and grad's rows take the differences, then the new values
+        old = np.subtract(pot, u_rows[a:b], out=u_rows[a:b])
+        inc = np.max(np.abs(old, out=old))
+        old[...] = pot
+        sup = np.max(np.abs(pot, out=pot))
+        diffs = []
+        for g, d0, comp in zip(g_rows, g0_rows, comps):
+            np.add(comp, d0[a:b], out=comp)
+            diffs.append(np.subtract(g[a:b], comp, out=g[a:b]))
+        gstep = squared_norm(diffs)
+        ginc = np.max(np.sqrt(gstep, out=gstep))
+        for diff, comp in zip(diffs, comps):
+            diff[...] = comp
+        maxima.append((inc, ginc, sup))
+
+    riesz_potential_and_gradient_rows(grid, params.s, read, write)
+    # numpy's maximum keeps a NaN, which a field that overflowed spreads
+    sups = np.max(maxima, axis=0)
+    if not np.all(np.isfinite(sups)):
+        raise ConfigError("field contains non-finite entries")
+    return tuple(map(float, sups))
+
+
 def _iterate(
     omega: Measure,
     params: Parameters,
@@ -238,6 +299,8 @@ def _iterate(
     """The admissibility guard and the Picard loop.
 
     Returns u, grad u, u0 = I_2s(omega) and the guard's I_{2s-1}(omega).
+    After its set-up the loop holds u0, grad u0, that potential, u and
+    grad u, and each step (_picard_step) updates u and grad u in place.
     """
     adm, v = wolff_ratio_and_potential(omega, params, grid)
     report.admissibility = asdict(adm)
@@ -259,30 +322,10 @@ def _iterate(
 
     for k in range(max_iter):
         iterations = k + 1
-        mag = np.sqrt(squared_norm(grad))
-        gq = GridField(grid, mag**params.q)
-        # each field of the step is dropped once used, so that none of them
-        # is still held through the next step's convolution
-        del mag
-        # I_2s lands in gq's array, which the forward transform has read by
-        # then, so the step allocates no result while the spectra are held
-        pot, pot_grad = riesz_potential_and_gradient_field(gq, params.s, out=gq.values)
-        del gq
-        # the potentials are arrays of this step alone, so each takes its
-        # datum term in place
-        u_next = np.add(pot.values, u0.values, out=pot.values)
-        g_next = [np.add(c.values, g, out=c.values) for c, g in zip(pot_grad.components, g0_vals)]
-        del pot, pot_grad
-
-        # u and grad are rebound to u_next and g_next below, so their arrays
-        # can take the differences
-        step = np.subtract(u_next, u, out=u)
-        inc = float(np.max(np.abs(step, out=step)))
-        diffs = [np.subtract(g, gn, out=g) for g, gn in zip(grad, g_next)]
-        gstep = squared_norm(diffs)
-        ginc = float(np.max(np.sqrt(gstep, out=gstep)))
-        del step, diffs, gstep
-        report.sup_u.append(float(np.max(np.abs(u_next))))
+        start = time.perf_counter()
+        inc, ginc, sup_u = _picard_step(params, grid, u0.values, g0_vals, u, grad)
+        report.picard_step_s.append(time.perf_counter() - start)
+        report.sup_u.append(sup_u)
         report.sup_increment.append(inc)
         report.sup_gradient_increment.append(ginc)
         if k == 0:
@@ -301,8 +344,6 @@ def _iterate(
             else:
                 diverging = 0
 
-        u = u_next
-        grad = g_next
         if inc <= tol * first_inc:
             converged = True
             break

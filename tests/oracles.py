@@ -2,7 +2,9 @@
 
 Everything here is built from textbook identities and generic quadrature,
 deliberately avoiding the package's own code paths so the two sides of each
-comparison share nothing but the mathematics.
+comparison share nothing but the mathematics.  The one exception is
+picard_step_whole_arrays, the whole-array form of a Picard step, which holds
+the streamed solver step to the engine's own convolution byte for byte.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import nnls
 from scipy.signal import convolve
 from scipy.special import gamma, hyp1f1, j0, jv, zeta
+
+from fracpot import riesz
+from fracpot.core import GridField, VectorGridField, squared_norm
 
 
 def lngamma_series(x: float, terms: int = 50) -> float:
@@ -274,6 +279,35 @@ def padded_fft_convolution(
     shape, axes = (2 * N,) * n, tuple(range(n))
     prod = np.fft.rfftn(values, s=shape, axes=axes) * np.fft.rfftn(kernel, s=shape, axes=axes)
     return np.fft.irfftn(prod, s=shape, axes=axes)[(slice(0, N),) * n] * cell_volume
+
+
+def riesz_potential_and_gradient_field(f, s):
+    """I_2s f and grad I_2s f as new fields, from one forward transform of f.
+
+    The engine's array path with the Picard step's two kernel families,
+    each output bitwise equal to a convolution of f with its kernel alone.
+    """
+    u, *grad = riesz._convolve_field(
+        f, (2.0 * s, riesz._scalar_kernels), (s, riesz._gradient_kernels)
+    )
+    return u, VectorGridField(f.grid, tuple(grad))
+
+
+def picard_step_whole_arrays(params, grid, u0, g0, u, grad):
+    """One Picard step on whole arrays, out of place.
+
+    |grad u|^q is formed whole, I_2s of it and its gradient come from
+    riesz_potential_and_gradient_field above, and the datum's u0 and g0 are added
+    to new arrays.  Returns u_{k+1}, grad u_{k+1}, sup |u_{k+1} - u|,
+    sup |grad u - grad u_{k+1}| and sup |u_{k+1}|.
+    """
+    gq = GridField(grid, np.sqrt(squared_norm(grad)) ** params.q)
+    pot, pot_grad = riesz_potential_and_gradient_field(gq, params.s)
+    u_next = pot.values + u0
+    g_next = [c.values + d for c, d in zip(pot_grad.components, g0)]
+    inc = float(np.max(np.abs(u_next - u)))
+    ginc = float(np.max(np.sqrt(squared_norm([g - gn for g, gn in zip(grad, g_next)]))))
+    return u_next, g_next, inc, ginc, float(np.max(np.abs(u_next)))
 
 
 def padded_offsets(n: int, N: int, h: float) -> list[np.ndarray]:

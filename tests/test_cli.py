@@ -125,6 +125,11 @@ def test_run_meta_records_fft_backend_and_workers(solved):
     N = REFERENCE_CONFIG["grid"]["N"]
     assert meta["plan_cache_bytes"] == 2 * (N + 1) ** 2 * 8
     assert meta["peak_rss_mb"] > 0.0
+    # the wall time of each Picard step, kept out of report.json
+    report = json.loads((out / "report.json").read_text())
+    steps = meta["picard_step_s"]
+    assert len(steps) == report["iterations"] and all(t > 0.0 for t in steps)
+    assert "picard_step_s" not in report
 
 
 def test_cli_import_does_not_load_scipy(golden_run):

@@ -37,7 +37,9 @@ from fracpot import (
     scale_measure_admissible,
 )
 from fracpot.capacity import ball_mask
-from fracpot.riesz import riesz_potential_and_gradient_field, riesz_potential_and_gradient_measure
+from fracpot.riesz import riesz_potential_and_gradient_measure
+
+from oracles import riesz_potential_and_gradient_field
 
 BOUND = 1e-14
 S = 0.75  # I_2s and its gradient; the scalar test takes alpha = 2s - 1

@@ -26,7 +26,7 @@ from fracpot import (
     riesz_potential_field,
     riesz_potential_measure,
 )
-from fracpot import riesz
+from fracpot import riesz, solver
 from fracpot.errors import ConfigError, GridMismatch
 from fracpot.riesz import (
     _cell_averages,
@@ -36,7 +36,6 @@ from fracpot.riesz import (
     atom_quadrature_correction,
     clear_plan_cache,
     fft_workers,
-    riesz_potential_and_gradient_field,
     riesz_potential_and_gradient_measure,
     singular_cell_average,
 )
@@ -44,7 +43,9 @@ from fracpot.riesz import (
 from oracles import (
     padded_fft_convolution,
     padded_offsets,
+    picard_step_whole_arrays,
     riesz_cell_average_quad,
+    riesz_potential_and_gradient_field,
     riesz_direct_sum,
     riesz_gaussian_radial,
 )
@@ -254,6 +255,14 @@ def _odd_factor(n: int, N: int, odd: int) -> np.ndarray:
     return np.where(backwards, 1j, -1j)
 
 
+def _filtered(values: np.ndarray, products: list, scale: float) -> list[np.ndarray]:
+    """riesz._filtered of an array padded to twice its points per axis, into new scaled results."""
+    lines, results = values.reshape(-1, values.shape[-1]), []
+    riesz._filtered(values.shape, tuple(2 * m for m in values.shape), products,
+                    lambda a, b: lines[a:b], riesz._new_results(values.shape, scale, results))
+    return results
+
+
 def _cuts(monkeypatch, n: int, N: int) -> tuple[list[int], list[int]]:
     """The chunk count of each stage one convolution on N^n points runs, and its slab widths, in order."""
     counts, widths = [], []
@@ -271,7 +280,7 @@ def _cuts(monkeypatch, n: int, N: int) -> tuple[list[int], list[int]]:
         m.setattr(riesz, "_in_chunks", count_spy)
         m.setattr(riesz, "_pad_forward", width_spy)
         with fft_workers(1):
-            riesz._filtered(np.ones((N,) * n), (2 * N,) * n, [lambda slab, cols, out: None], 1.0)
+            _filtered(np.ones((N,) * n), [lambda slab, cols, out: None], 1.0)
     return counts, widths
 
 
@@ -387,7 +396,7 @@ def test_pruned_transforms_equal_scipy_bitwise(monkeypatch, n, N):
     symbols = [rng.standard_normal(forward.shape) for _ in range(2)]
     products = [lambda slab, cols, out, m=m: np.multiply(slab, m[..., cols], out=out)
                 for m in symbols]
-    for got, m in zip(riesz._filtered(x, (2 * N,) * n, products, 0.5), symbols):
+    for got, m in zip(_filtered(x, products, 0.5), symbols):
         ref = m * forward
         for ax in range(n - 1):
             ref = scipy.fft.ifft(ref, axis=ax)[(slice(None),) * ax + (slice(0, N),)]
@@ -406,7 +415,7 @@ def test_convolution_equals_the_whole_array_route_bitwise(monkeypatch, n, N, wor
     families = ((1.5, _scalar_kernels), (0.75, _gradient_kernels))
     clear_plan_cache()
     with fft_workers(workers):
-        got = riesz._convolve(f, *families)
+        got = riesz._convolve_field(f, *families)
     spectrum = scipy.fft.rfftn(f.values, s=(2 * N,) * n)
     hats = [pair for order, family in families for pair in riesz._kernel_hats(g, order, family)]
     assert len(got) == len(hats) == 1 + n
@@ -448,41 +457,31 @@ def test_convolution_holds_no_padded_spectrum(monkeypatch):
     assert peak < 2 * padded
 
 
-def test_potential_goes_into_the_density_array_it_was_given(monkeypatch):
-    # the same convolution as above, with I_2s written into f's own array:
-    # k = 3 half-size spectra and each worker's scratch, and no result
-    g, workers, budget = Grid(2, 8.0, 256), 2, 2**16
-    monkeypatch.setattr(riesz, "_PARALLEL_MIN_POINTS", 1)
-    monkeypatch.setattr(riesz, "_SLAB_BYTES", budget)
-    k, N = 3, g.N
-    half = 16 * N * (N + 1)
+@pytest.mark.parametrize("q", [2.0, 1.7])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n, N", [(2, 48), (3, 12)])
+def test_streamed_picard_step_equals_the_whole_array_step_bitwise(monkeypatch, n, N, workers, q):
+    # |grad u|^q formed per forward row block, and the datum terms, the sups
+    # and the new iterate per inverse row block, over u and grad u in place
+    _slabs(monkeypatch, n, N)
+    g = Grid(n, 8.0, N)
+    params = Parameters(n, 0.75, q)
+    f = _smooth_density(g)
     clear_plan_cache()
+    u0, g0 = riesz_potential_and_gradient_field(f, 0.75)
+    u0, g0 = u0.values, [c.values for c in g0.components]
+    # an iterate that is not the datum's potential, so that every sup is nonzero
+    u_k, grad_k = riesz_potential_and_gradient_field(GridField(g, f.values**2), 0.75)
+    u = u_k.values + u0
+    grad = [c.values + d for c, d in zip(grad_k.components, g0)]
+    ref = picard_step_whole_arrays(params, g, u0, g0, u, grad)
     with fft_workers(workers):
-        u_ref, grad_ref = riesz_potential_and_gradient_field(_smooth_density(g), 0.75)
-        f = _smooth_density(g)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            u, grad = riesz_potential_and_gradient_field(f, 0.75, out=f.values)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        sups = solver._picard_step(params, g, u0, g0, u, grad)
     clear_plan_cache()
-    # 64 KiB a worker covers the Python objects and the small temporaries,
-    # numpy's buffers for the real-by-complex hat products among them, which
-    # both workers may hold at once; a result would add 512 KiB
-    assert k * half <= peak <= k * half + workers * (2 * budget + 2**16)
-    assert np.shares_memory(u.values, f.values)
-    for got, ref in zip([u, *grad.components], [u_ref, *grad_ref.components]):
-        assert got.values.tobytes() == ref.values.tobytes()
-
-
-@pytest.mark.parametrize("out", [np.zeros((16, 15)), np.zeros((16, 16), dtype=np.float32),
-                                 np.zeros((16, 32))[:, ::2]])
-def test_result_array_of_another_shape_or_layout_is_refused(out):
-    f = _smooth_density(Grid(2, 8.0, 16))
-    with pytest.raises(ConfigError, match="out must be"):
-        riesz_potential_and_gradient_field(f, 0.75, out=out)
+    assert u.tobytes() == ref[0].tobytes()
+    assert [c.tobytes() for c in grad] == [c.tobytes() for c in ref[1]]
+    assert np.array(sups).tobytes() == np.array(ref[2:]).tobytes()
+    assert min(sups) > 0.0
 
 
 def test_workers_follow_the_transform_size():

@@ -1,6 +1,7 @@
 """Constants ledger identities and the successive-approximation solver."""
 
 import re
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -17,8 +18,11 @@ from fracpot import (
     representation_residual,
     riesz_potential_measure,
     sandwich_check,
+    scale_measure_admissible,
 )
+from fracpot import riesz, solver
 from fracpot.errors import ConfigError, NotAdmissible
+from fracpot.riesz import clear_plan_cache, fft_workers
 
 PARAMS = Parameters(2, 0.75, 2.0)
 
@@ -185,3 +189,56 @@ def test_sandwich_of_bare_potential_is_tight():
     lower_ok, upper = sandwich_check(u0, u0)
     assert lower_ok
     assert upper == pytest.approx(1.0, abs=1e-12)
+
+
+def test_picard_steps_allocate_no_grid_array(monkeypatch):
+    # marks at the start and the end of each convolution split steps 2..K
+    # into the convolution, which may hold its k = 3 half-size spectra and
+    # each worker's scratch of two slabs (2 x budget) and 64 KiB, and the
+    # rest of the step, which may hold nothing; either way less than one
+    # array of N^2 float64 values over that, and nothing is left behind
+    params, workers, budget = PARAMS, 2, 2**16
+    g = Grid(2, 8.0, 256)
+    monkeypatch.setattr(riesz, "_PARALLEL_MIN_POINTS", 1)
+    monkeypatch.setattr(riesz, "_SLAB_BYTES", budget)
+    omega = Measure.uniform_ball(np.zeros(2), 1.0, 1.0)
+    omega = omega.scaled(scale_measure_admissible(omega, 0.5, params, g)[0])
+    k, N = 3, g.N
+    half, field = 16 * N * (N + 1), 8 * N * N
+    marks = []
+    convolve = riesz._convolve
+
+    def mark():
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+
+    def spy(*args, **kwargs):
+        mark()
+        try:
+            return convolve(*args, **kwargs)
+        finally:
+            mark()
+
+    monkeypatch.setattr(riesz, "_convolve", spy)
+    report = solver.SolveReport()
+    clear_plan_cache()
+    with fft_workers(workers):
+        tracemalloc.start()
+        try:
+            # kept, so that the last mark still counts the fields it returns
+            fields = solver._iterate(omega, params, g, constants_ledger(params, 0.5), 1e-8, 200,
+                                     report)
+            mark()
+        finally:
+            tracemalloc.stop()
+    clear_plan_cache()
+    del fields
+    K = report.iterations
+    assert K >= 3
+    # the last 2K + 1 marks bound the steps' convolutions and what follows each
+    steps = marks[-2 * K - 1 :]
+    for start, end, after in zip(steps[2:-1:2], steps[3::2], steps[4::2]):
+        inside, outside = end[1] - start[0], after[1] - end[0]
+        assert k * half <= inside <= k * half + workers * (2 * budget + 2**16)
+        assert inside < k * half + field and outside < field
+        assert end[0] - start[0] < 2**16 and after[0] - end[0] < 2**16
