@@ -263,8 +263,15 @@ def _unit_solve(
 def estimate_ball_capacity(
     x0, r: float, alpha: float, p: float, grid: Grid, **kw
 ) -> CapacityEstimate:
-    """estimate_capacity on a ball mask, with the analytic bound attached."""
+    """estimate_capacity on a ball mask, with the analytic bound attached.
+
+    The ball must lie inside [-L, L]^n, or its mask would hold only a part of it.
+    """
     bound = ball_capacity_upper(grid.n, alpha, p, r)
+    center = np.asarray(x0, dtype=float)
+    if not np.all(np.abs(center) + r <= grid.L):
+        raise ConfigError(f"the ball of radius {r} about {center.tolist()} is not inside "
+                          f"the box [-{grid.L}, {grid.L}]^{grid.n}")
     est = estimate_capacity(ball_mask(grid, x0, r), alpha, p, grid, **kw)
     return replace(est, analytic_ball_bound=bound)
 

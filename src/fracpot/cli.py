@@ -233,20 +233,25 @@ def cmd_capacity(args) -> int:
         radii = args.sweep
         if len(set(radii)) < 2:
             raise ConfigError("--sweep needs at least two distinct radii to fit a slope")
-        rows = []
+        # one grid per radius, equal relative resolution keeping the fitted
+        # exponent clean; all are checked before an estimate prints anything
+        grids = []
         for r in radii:
-            # one grid per radius: equal relative resolution keeps the
-            # discrete problems similar, so the fitted exponent is clean
-            grid = Grid(n=args.n, L=4.0 * r, N=args.N)
-            est = estimate_ball_capacity((0.0,) * args.n, r, args.alpha, args.p, grid)
-            rows.append((r, est.value))
-            print(f"{r},{est.value}")
+            if not r > 0.0:
+                raise ConfigError(f"--sweep radius {r} is not positive")
+            try:
+                grids.append(Grid(n=args.n, L=4.0 * r, N=args.N))
+            except ConfigError as exc:
+                raise ConfigError(f"--sweep radius {r} has no valid box L = 4r: {exc}") from None
+        rows = [(r, estimate_ball_capacity((0.0,) * args.n, r, args.alpha, args.p, grid).value)
+                for r, grid in zip(radii, grids)]
         logs = np.log(np.array(rows))
         slope = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
-        print(f"slope,{slope}")
+        lines = [f"{r},{v}" for r, v in rows] + [f"slope,{slope}"]
+        print("\n".join(lines))
         if args.out:
-            lines = ["r,estimate"] + [f"{r},{v}" for r, v in rows] + [f"slope,{slope}"]
-            (_outdir(args.out) / "capacity_sweep.csv").write_text("\n".join(lines) + "\n")
+            csv = "\n".join(["r,estimate", *lines]) + "\n"
+            (_outdir(args.out) / "capacity_sweep.csv").write_text(csv)
         return 0
 
     grid = Grid(n=args.n, L=4.0 if args.L is None else args.L, N=args.N)
@@ -337,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         "for (-Delta)^s u = |grad u|^q + omega",
     )
     parser.add_argument("--threads", type=int, default=None,
-                        help="FFT workers for large transforms (default: the CPUs "
-                        "available; results are independent of this)")
+                        help="FFT workers for transforms cut into more than one 1 MiB chunk "
+                        "(default: the CPUs available; results are independent of this)")
     sub = parser.add_subparsers(dest="command", required=True)
     # the options several subcommands share, each declared once
     config, fields_in, out, theta, scale = (

@@ -42,9 +42,9 @@ time from its caller and hands each block of rows of the results back, so a
 caller may form the density as the rfft reads it and consume the results
 as the irfft writes them, holding neither whole (the Picard step does, see
 riesz_potential_and_gradient_rows); the field functions read an array and
-write new ones.  Large transforms split their slabs and row blocks over
-every available CPU (fft_workers changes the count), which never changes a
-result.
+write new ones.  Every stage is cut into chunks of about 1 MiB of scratch,
+and one of more than one chunk spreads them over the available CPUs
+(fft_workers changes the count), which never changes a result.
 
 Differentiating |x - y|^(2s - n) gives the vector kernel
 
@@ -195,18 +195,11 @@ def atom_quadrature_correction(
 # the data rows its caller forms, then slabs of last-axis frequency columns
 # through per-worker scratch, then the irfft in row blocks its caller takes.
 
-# Transforms of at least this many padded points split their slabs and
-# blocks over every worker; a smaller one is one slab and one block on one
-# worker, where handing out work costs more than it saves.
-_PARALLEL_MIN_POINTS = 2**20
-
-# Lines a hat transform extends and transforms at a time, and the bytes of
-# one block of data or result rows or one slab of spectrum columns a
-# convolution transforms at a time above _PARALLEL_MIN_POINTS, so that each
-# worker's scratch stays in cache.  A slab is never narrower than
+# The bytes of one chunk of a stage: a block of data or result rows, a slab
+# of spectrum columns, or a run of hat lines with their extensions, sized so
+# that each worker's scratch stays in cache.  A slab is never narrower than
 # _SLAB_MIN_COLUMNS: the hat products run along its columns, and 8 complex
 # values are two 64-byte cache lines per slab row.
-_HAT_CHUNK_LINES = 64
 _SLAB_BYTES = 2**20
 _SLAB_MIN_COLUMNS = 8
 
@@ -224,13 +217,13 @@ _FFT_WORKERS = ContextVar("fft_workers", default=available_cpus())
 
 
 def fft_worker_count() -> int:
-    """Workers the engine gives to a large transform."""
+    """Workers the engine spreads the chunks of a stage over."""
     return _FFT_WORKERS.get()
 
 
 @contextmanager
 def fft_workers(count: int):
-    """Run large transforms on count workers inside the block; results do not change."""
+    """Run the engine's stages on count workers inside the block; results do not change."""
     if count < 1:
         raise ConfigError(f"FFT worker count must be at least 1, got {count}")
     token = _FFT_WORKERS.set(count)
@@ -240,30 +233,30 @@ def fft_workers(count: int):
         _FFT_WORKERS.reset(token)
 
 
-def _workers(points: int) -> int:
-    return _FFT_WORKERS.get() if points >= _PARALLEL_MIN_POINTS else 1
-
-
 @lru_cache(maxsize=None)
 def _thread_pool(workers: int):
-    """The threads that share the large transforms, started by the first of them."""
-    # imported on first use, so that start-up and runs of small transforms never load it
+    """The threads that share a stage's chunks, started by the first stage of several chunks."""
+    # imported on first use, so that start-up and runs of one-chunk stages never load it
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="fracpot-fft")
 
 
-def _in_chunks(work, count: int, step: int, points: int) -> None:
+def _step(count: int, item_bytes: int, least: int = 1) -> int:
+    """Items of item_bytes per chunk: as many as fit _SLAB_BYTES, at least least, at most count."""
+    return min(count, max(least, _SLAB_BYTES // item_bytes))
+
+
+def _in_chunks(work, count: int, step: int) -> None:
     """work(run) for runs of the chunks [a, b) of range(count), each step long but the last.
 
-    A transform of fewer than _PARALLEL_MIN_POINTS (padded) points hands
-    every chunk to one worker; a larger one gives each worker one contiguous
-    run of them, and numpy.fft and numpy's arithmetic release the GIL, so the
-    runs go in parallel.  Each line is transformed whole either way, so the
-    split never changes a bit.
+    One chunk runs on the calling thread.  k of them go to min(k, workers)
+    workers, one contiguous run each, and numpy.fft and numpy's arithmetic
+    release the GIL, so the runs go in parallel.  Each line is transformed
+    whole either way, so the split never changes a bit.
     """
     chunks = [(a, min(a + step, count)) for a in range(0, count, step)]
-    w = min(_workers(points), len(chunks))
+    w = min(_FFT_WORKERS.get(), len(chunks))
     if w == 1:
         work(chunks)
         return
@@ -322,19 +315,13 @@ def _filtered(crop: tuple[int, ...], padded: tuple[int, ...], products: list, re
     sink's spectra pass the irfft in row blocks, every block of every one of
     them going to write together, and are freed once they have.  Each line
     goes through the numpy.fft call and the axis order of irfftn(rfftn), so
-    the slabs and blocks change no bit.  Above _PARALLEL_MIN_POINTS a block
-    of data rows holds about _SLAB_BYTES of spectrum, a slab too but never
-    fewer than _SLAB_MIN_COLUMNS columns, and a block of result rows that
-    much per product of its sink, and the workers share them; below, each is
-    the whole spectrum on one worker.
+    the slabs and blocks change no bit.  A block of data rows holds about
+    _SLAB_BYTES of spectrum, a slab too but never fewer than
+    _SLAB_MIN_COLUMNS columns, and a block of result rows that much in all
+    over its sink's products; each is at most the whole stage.
     """
-    points = math.prod(padded)
     lead, cols = padded[:-1], padded[-1] // 2 + 1
     rows = math.prod(crop[:-1])
-
-    def step(count: int, item_bytes: int, least: int = 1) -> int:
-        return count if points < _PARALLEL_MIN_POINTS else max(least, _SLAB_BYTES // item_bytes)
-
     spectra = [np.empty(crop[:-1] + (cols,), dtype=complex) for _ in products]
     source = spectra[-1]
     source_rows = source.reshape(rows, cols)
@@ -343,8 +330,8 @@ def _filtered(crop: tuple[int, ...], padded: tuple[int, ...], products: list, re
         for a, b in run:
             np.fft.rfft(read(a, b), n=padded[-1], axis=-1, out=source_rows[a:b])
 
-    _in_chunks(forward, rows, step(rows, 16 * cols), points)
-    width = step(cols, 16 * math.prod(lead), _SLAB_MIN_COLUMNS)
+    _in_chunks(forward, rows, _step(rows, 16 * cols))
+    width = _step(cols, 16 * math.prod(lead), _SLAB_MIN_COLUMNS)
 
     def slabs(run):
         scratch = np.empty(lead + (width,), dtype=complex)
@@ -357,14 +344,14 @@ def _filtered(crop: tuple[int, ...], padded: tuple[int, ...], products: list, re
                 product(slab, slice(a, b), dst)
                 spectrum[..., a:b] = _inverse_crop(dst, crop)
 
-    _in_chunks(slabs, cols, width, points)
+    _in_chunks(slabs, cols, width)
     # from here only spectra holds them, so each goes once its sink has its rows
     del source, source_rows
     spectra = [spectrum.reshape(rows, cols) for spectrum in spectra]
     while spectra:
         count, write = next(sinks)
         group, spectra = spectra[:count], spectra[count:]
-        block = step(rows, 8 * padded[-1] * count)
+        block = _step(rows, 8 * padded[-1] * count)
 
         def inverse(run):
             scratch = [np.empty((block, padded[-1])) for _ in group]
@@ -376,7 +363,7 @@ def _filtered(crop: tuple[int, ...], padded: tuple[int, ...], products: list, re
                     lines.append(line[:, : crop[-1]])
                 write(a, b, lines)
 
-        _in_chunks(inverse, rows, block, points)
+        _in_chunks(inverse, rows, block)
         # before the next sink allocates anything
         del group
 
@@ -394,19 +381,19 @@ def _new_results(shape: tuple[int, ...], scale: float, results: list):
         yield 1, lambda a, b, lines, rows=result_rows: np.multiply(lines[0], scale, out=rows[a:b])
 
 
-def _real_line_transform(hat: np.ndarray, axis: int, odd: bool, points: int) -> None:
+def _real_line_transform(hat: np.ndarray, axis: int, odd: bool) -> None:
     """DCT-I of every line of hat along axis, or with odd its DST-I on points 1..N-1, in place.
 
     pocketfft's own route (scipy.fft.dct/dst type 1): the real FFT of the
     line's even extension to 2N points has the DCT-I as its real part; that
     of its odd extension has minus the DST-I as its imaginary part.  Each
-    worker takes about _HAT_CHUNK_LINES lines at a time through scratch it
-    allocates once.
+    worker takes as many lines at a time as fit their extensions and spectra
+    in _SLAB_BYTES, through scratch it allocates once.
     """
     N = hat.shape[axis] - 1
     # the trailing unit axis gives a 1-D hat an axis to cut across
     h = np.moveaxis(hat, axis, 0)[..., None]
-    step = max(1, _HAT_CHUNK_LINES // math.prod(h.shape[2:]))
+    step = _step(h.shape[1], (8 * 2 * N + 16 * (N + 1)) * math.prod(h.shape[2:]))
 
     def work(run):
         ext = np.empty((2 * N, step) + h.shape[2:])
@@ -427,7 +414,7 @@ def _real_line_transform(hat: np.ndarray, axis: int, odd: bool, points: int) -> 
             else:
                 chunk[...] = s.real
 
-    _in_chunks(work, h.shape[1], step, points)
+    _in_chunks(work, h.shape[1], step)
 
 
 def _regularised_r2(grid: Grid, offsets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -500,14 +487,13 @@ def _kernel_hats(grid: Grid, order: float, family) -> list[tuple[np.ndarray, int
     odd = 0 if family is _gradient_kernels else None
     key = _hat_key(grid, order, family)
     if key not in _PLAN_CACHE:
-        points = (2 * N) ** n
         axis = np.arange(0, N + 1) * grid.h
         offsets = np.meshgrid(*[axis] * n, indexing="ij", sparse=True)
         hat = _zero_offset_n_slots(next(family(grid, order, offsets)), N)
         # scipy.fft.dctn's axis order, then the DST-I
         even = [ax for ax in range(n) if ax != odd]
         for ax in even if odd is None else even + [odd]:
-            _real_line_transform(hat, ax, ax == odd, points)
+            _real_line_transform(hat, ax, ax == odd)
         _PLAN_CACHE[key] = hat
         _plan_cache_peak = max(_plan_cache_peak, plan_cache_bytes())
     hat = _PLAN_CACHE[key]
@@ -572,12 +558,9 @@ def _convolve(grid: Grid, read, sinks, *families: tuple[float, object]) -> None:
     (N+1)^n hat per family and what read and the sinks allocate, k half-size
     spectra of N^(n-1) (N+1) complex points, one of them the density's
     transform, those of a sink freed once it has all their rows.  Each
-    worker adds scratch: two slabs (one for a single kernel), each of at
-    most _SLAB_BYTES or _SLAB_MIN_COLUMNS columns where that is more, then
-    one block of rows per kernel of a sink, of at most _SLAB_BYTES in all or
-    one row each; below _PARALLEL_MIN_POINTS they are the whole padded half
-    spectrum of (2N)^(n-1) (N+1) points and all N^(n-1) rows of 2N.  Neither
-    the padded spectrum nor a product with a hat is ever held whole above it.
+    worker adds scratch, none of it more than its whole stage: two slabs (one
+    for a single kernel) of _SLAB_BYTES or _SLAB_MIN_COLUMNS columns, then
+    one block of rows per kernel of a sink, _SLAB_BYTES in all or a row each.
     """
     # hats this call does not read go before any it lacks is built, so that
     # the cache holds no more than one call's kernels

@@ -2,9 +2,10 @@
 
 Everything here is built from textbook identities and generic quadrature,
 deliberately avoiding the package's own code paths so the two sides of each
-comparison share nothing but the mathematics.  The one exception is
+comparison share nothing but the mathematics.  The two exceptions are
 picard_step_whole_arrays, the whole-array form of a Picard step, which holds
-the streamed solver step to the engine's own convolution byte for byte.
+the streamed solver step to the engine's own convolution byte for byte, and
+stage_cuts, which shows that a test's budget really cuts the engine's stages.
 """
 
 from __future__ import annotations
@@ -308,6 +309,30 @@ def picard_step_whole_arrays(params, grid, u0, g0, u, grad):
     inc = float(np.max(np.abs(u_next - u)))
     ginc = float(np.max(np.sqrt(squared_norm([g - gn for g, gn in zip(grad, g_next)]))))
     return u_next, g_next, inc, ginc, float(np.max(np.abs(u_next)))
+
+
+def stage_cuts(monkeypatch, run) -> tuple[list[int], list[int]]:
+    """The chunk count of each engine stage run() goes through, and its slab widths, in order.
+
+    run() goes on one worker, so that the counts come in the stages' order.
+    """
+    counts, widths = [], []
+    in_chunks, pad_forward = riesz._in_chunks, riesz._pad_forward
+
+    def count_spy(work, count, step):
+        counts.append(-(-count // step))
+        in_chunks(work, count, step)
+
+    def width_spy(src, slab, crop):
+        widths.append(slab.shape[-1])
+        pad_forward(src, slab, crop)
+
+    with monkeypatch.context() as m:
+        m.setattr(riesz, "_in_chunks", count_spy)
+        m.setattr(riesz, "_pad_forward", width_spy)
+        with riesz.fft_workers(1):
+            run()
+    return counts, widths
 
 
 def padded_offsets(n: int, N: int, h: float) -> list[np.ndarray]:

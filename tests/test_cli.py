@@ -264,6 +264,10 @@ _CAPACITY = ["capacity", "--alpha", "0.5", "--p", "2", "--N", "16"]
         ([*_CAPACITY, "--ball", "0,nan,1"], 1),
         ([*_CAPACITY, "--L", "inf", "--ball", "0,0,1"], 1),
         ([*_CAPACITY, "--sweep", "1,inf"], 1),
+        ([*_CAPACITY, "--sweep", "1,-1"], 1),
+        ([*_CAPACITY, "--sweep", "0,1"], 1),
+        ([*_CAPACITY, "--sweep", "1,1e308"], 1),
+        ([*_CAPACITY, "--ball", "0,0,1", "--L", "0.5"], 1),
         (["capacity", "--alpha", "nan", "--p", "2", "--ball", "0,0,1"], 1),
         (["capacity", "--alpha", "0.5", "--p", "1e400", "--ball", "0,0,1"], 1),
         ([*_CAPACITY, "--ball", "0,0,1e308"], 1),
@@ -286,7 +290,8 @@ _CAPACITY = ["capacity", "--alpha", "0.5", "--p", "2", "--N", "16"]
     ids=["bad-float", "no-config", "unknown-command", "no-command", "bad-int", "ball-not-numbers",
          "sweep-not-numbers", "no-target", "two-targets", "subcritical-q", "no-threads",
          "q-nan", "q-inf", "s-nan", "theta-minus-inf", "constant-overflows", "ball-radius-inf",
-         "ball-centre-nan", "L-inf", "sweep-inf", "alpha-nan", "p-overflows-to-inf",
+         "ball-centre-nan", "L-inf", "sweep-inf", "sweep-radius-negative", "sweep-radius-zero",
+         "sweep-box-overflows", "ball-sticks-out-of-box", "alpha-nan", "p-overflows-to-inf",
          "ball-bound-overflows", "L-squared-overflows", "q-1e308-ledger-overflows",
          "q-1e5-ledger-overflows", "solve-q-1e5-ledger-overflows", "p-scale-overflows",
          "mask-p-scale-overflows", "mask-p-scale-underflows", "mask-p-estimate-overflows",

@@ -249,12 +249,25 @@ def test_benchmark_entry_points_keep_their_shape():
     assert fields >= {"value", "upper_bound", "candidate", "iterations", "feasibility_gap"}
 
 
-def test_start_up_loads_no_thread_pool_or_queue():
-    # the engine imports its thread pool on the first large transform, so
-    # that importing the CLI, which every command pays, stays cheap
-    code = ("import sys, fracpot.cli; "
-            "print(sorted({'concurrent.futures', 'queue'} & set(sys.modules)))")
+def _pool_modules_after(code: str) -> str:
+    """The thread-pool and queue modules a fresh interpreter holds after running code."""
+    code += "; print(sorted({'concurrent.futures', 'queue'} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True)
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run([sys.executable, "-c", "import sys; " + code], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()[-1]
+
+
+def test_start_up_loads_no_thread_pool_or_queue():
+    # the engine imports its thread pool on the first stage cut into several
+    # chunks, so that importing the CLI, which every command pays, stays cheap
+    assert _pool_modules_after("import fracpot.cli") == "[]"
+
+
+@pytest.mark.parametrize("target", [["--sweep", "0.25,0.5,1,2", "--N", "64"],
+                                    ["--ball", "0,0,1", "--N", "128"]])
+def test_small_capacity_runs_never_start_the_thread_pool(target):
+    # every stage of these convolutions fits one chunk, so each runs on the
+    # calling thread even with workers to spare
+    argv = ["--threads", "2", "capacity", "--alpha", "0.5", "--p", "2", *target]
+    assert _pool_modules_after(f"from fracpot.cli import main; main({argv!r})") == "[]"

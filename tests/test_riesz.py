@@ -7,6 +7,7 @@ unpruned numpy.fft convolution with the same kernels and to the direct sum,
 both also in oracles.py.
 """
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -48,6 +49,7 @@ from oracles import (
     riesz_potential_and_gradient_field,
     riesz_direct_sum,
     riesz_gaussian_radial,
+    stage_cuts,
 )
 
 
@@ -263,35 +265,20 @@ def _filtered(values: np.ndarray, products: list, scale: float) -> list[np.ndarr
     return results
 
 
-def _cuts(monkeypatch, n: int, N: int) -> tuple[list[int], list[int]]:
-    """The chunk count of each stage one convolution on N^n points runs, and its slab widths, in order."""
-    counts, widths = [], []
-    in_chunks, pad_forward = riesz._in_chunks, riesz._pad_forward
-
-    def count_spy(work, count, step, points):
-        counts.append(-(-count // step))
-        in_chunks(work, count, step, points)
-
-    def width_spy(src, slab, crop):
-        widths.append(slab.shape[-1])
-        pad_forward(src, slab, crop)
-
-    with monkeypatch.context() as m:
-        m.setattr(riesz, "_in_chunks", count_spy)
-        m.setattr(riesz, "_pad_forward", width_spy)
-        with fft_workers(1):
-            _filtered(np.ones((N,) * n), [lambda slab, cols, out: None], 1.0)
-    return counts, widths
+def _split(monkeypatch, budget: int, n: int, N: int) -> list[int]:
+    """Cut each stage of a convolution on N^n points into budget-byte chunks; its slab widths."""
+    monkeypatch.setattr(riesz, "_SLAB_BYTES", budget)
+    ones = np.ones((N,) * n)
+    counts, widths = stage_cuts(monkeypatch, lambda: _filtered(ones, [lambda *_: None], 1.0))
+    # the forward rows, the slabs and the inverse row blocks all go over the workers
+    assert len(counts) == 3 and min(counts) > 1
+    return widths
 
 
 def _slabs(monkeypatch, n: int, N: int) -> None:
-    """Make a convolution on N^n points cut each stage into several chunks, the slabs leaving a ragged last one."""
-    monkeypatch.setattr(riesz, "_PARALLEL_MIN_POINTS", 1)
+    """_split, with the slabs leaving a ragged last one."""
     monkeypatch.setattr(riesz, "_SLAB_MIN_COLUMNS", 1)
-    monkeypatch.setattr(riesz, "_SLAB_BYTES", 16 * (2 * N) ** (n - 1) * (5 if n == 2 else 2))
-    counts, (*full, last) = _cuts(monkeypatch, n, N)
-    # the forward rows, the slabs and the inverse row blocks all go over the workers
-    assert len(counts) == 3 and min(counts) > 1
+    *full, last = _split(monkeypatch, 16 * (2 * N) ** (n - 1) * (5 if n == 2 else 2), n, N)
     assert full and len(set(full)) == 1 and 0 < last < full[0]
 
 
@@ -299,9 +286,7 @@ def test_slabs_are_never_narrower_than_eight_columns(monkeypatch):
     # a budget of 2 columns at n=3 still gives 8, so that the hat products
     # run over two cache lines per slab row; 13 columns leave a ragged 5
     n, N = 3, 12
-    monkeypatch.setattr(riesz, "_PARALLEL_MIN_POINTS", 1)
-    monkeypatch.setattr(riesz, "_SLAB_BYTES", 16 * (2 * N) ** (n - 1) * 2)
-    assert _cuts(monkeypatch, n, N)[1] == [8, 5]
+    assert _split(monkeypatch, 16 * (2 * N) ** (n - 1) * 2, n, N) == [8, 5]
 
 
 @pytest.mark.parametrize("n, N", [(2, 16), (3, 8)])
@@ -328,8 +313,8 @@ def test_octant_hats_are_the_transforms_of_the_padded_kernels(n, N):
 
 @pytest.mark.parametrize("n, N", [(2, 64), (3, 16)])
 def test_engine_bitwise_independent_of_worker_count(monkeypatch, n, N):
-    # lower the size cut so these small transforms really use both workers
-    monkeypatch.setattr(riesz, "_PARALLEL_MIN_POINTS", 1)
+    # a small budget cuts these small transforms, so that they really use both workers
+    _split(monkeypatch, 2**15, n, N)
     f = _smooth_density(Grid(n, 8.0, N))
     results = []
     for count in (1, 2):
@@ -345,10 +330,14 @@ def test_engine_bitwise_independent_of_worker_count(monkeypatch, n, N):
 @pytest.mark.parametrize("n, N", [(2, 64), (2, 100), (3, 16), (3, 12)])
 def test_hats_equal_scipy_dct1_and_dst1_bitwise(monkeypatch, n, N, workers):
     # the reference: the octant kernels through scipy.fft.dctn/dst type 1,
-    # compared as bytes, so signed zeros count too
-    monkeypatch.setattr(riesz, "_PARALLEL_MIN_POINTS", 1)
+    # compared as bytes, so signed zeros count too; a small budget cuts
+    # every line transform, so that two workers really share each
+    monkeypatch.setattr(riesz, "_SLAB_BYTES", 2**14)
     g = Grid(n, 4.0, N)
     octant = np.meshgrid(*[np.arange(N + 1) * g.h] * n, indexing="ij", sparse=True)
+    clear_plan_cache()
+    counts, _ = stage_cuts(monkeypatch, lambda: riesz._kernel_hats(g, 0.75, _gradient_kernels))
+    assert len(counts) == n and min(counts) > 1
     clear_plan_cache()
     with fft_workers(workers):
         for order, family in ((1.5, _scalar_kernels), (0.75, _gradient_kernels)):
@@ -435,8 +424,7 @@ def test_convolution_holds_no_padded_spectrum(monkeypatch):
     # and each worker's scratch, against the padded half spectrum and one
     # product with a hat that a whole-array convolution holds
     g, workers, budget = Grid(2, 8.0, 256), 2, 2**16
-    monkeypatch.setattr(riesz, "_PARALLEL_MIN_POINTS", 1)
-    monkeypatch.setattr(riesz, "_SLAB_BYTES", budget)
+    _split(monkeypatch, budget, g.n, g.N)
     f = _smooth_density(g)
     k, N = 3, g.N
     half, result = 16 * N * (N + 1), 8 * N * N
@@ -484,10 +472,33 @@ def test_streamed_picard_step_equals_the_whole_array_step_bitwise(monkeypatch, n
     assert min(sups) > 0.0
 
 
-def test_workers_follow_the_transform_size():
-    with fft_workers(2):
-        assert riesz._workers(riesz._PARALLEL_MIN_POINTS) == 2
-        assert riesz._workers(riesz._PARALLEL_MIN_POINTS - 1) == 1
+def test_a_stage_uses_one_worker_per_chunk_up_to_the_worker_count():
+    # one chunk runs on the calling thread; k chunks go to min(k, workers)
+    # workers, one contiguous run each, all of them at once (the barrier
+    # holds each run until the others have started)
+    def runs(count, step, workers):
+        seen, barrier = [], threading.Barrier(min(-(-count // step), workers))
+
+        def work(run):
+            barrier.wait(timeout=10)
+            seen.append((threading.get_ident(), run))
+
+        with fft_workers(workers):
+            riesz._in_chunks(work, count, step)
+        return seen
+
+    caller = threading.get_ident()
+    assert runs(5, 5, 2) == [(caller, [(0, 5)])]
+    assert runs(5, 2, 1) == [(caller, [(0, 2), (2, 4), (4, 5)])]
+    for count, workers, expected in [
+        (3, 2, [[(0, 1)], [(1, 2), (2, 3)]]),
+        (2, 3, [[(0, 1)], [(1, 2)]]),
+        (5, 3, [[(0, 1)], [(1, 2), (2, 3)], [(3, 4), (4, 5)]]),
+    ]:
+        seen = runs(count, 1, workers)
+        assert sorted(run for _, run in seen) == expected
+        threads = {thread for thread, _ in seen}
+        assert len(threads) == len(expected) and caller not in threads
     with pytest.raises(ConfigError):
         with fft_workers(0):
             pass

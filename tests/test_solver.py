@@ -9,6 +9,7 @@ import pytest
 
 from fracpot import (
     Grid,
+    GridField,
     Measure,
     Parameters,
     VectorGridField,
@@ -23,6 +24,8 @@ from fracpot import (
 from fracpot import riesz, solver
 from fracpot.errors import ConfigError, NotAdmissible
 from fracpot.riesz import clear_plan_cache, fft_workers
+
+from oracles import stage_cuts
 
 PARAMS = Parameters(2, 0.75, 2.0)
 
@@ -199,8 +202,12 @@ def test_picard_steps_allocate_no_grid_array(monkeypatch):
     # array of N^2 float64 values over that, and nothing is left behind
     params, workers, budget = PARAMS, 2, 2**16
     g = Grid(2, 8.0, 256)
-    monkeypatch.setattr(riesz, "_PARALLEL_MIN_POINTS", 1)
     monkeypatch.setattr(riesz, "_SLAB_BYTES", budget)
+    # the budget cuts every stage of a convolution on this grid, so both workers run
+    ones = GridField(g, np.ones(g.shape))
+    clear_plan_cache()
+    counts, _ = stage_cuts(monkeypatch, lambda: riesz.riesz_potential_field(ones, 1.5))
+    assert len(counts) == g.n + 3 and min(counts) > 1
     omega = Measure.uniform_ball(np.zeros(2), 1.0, 1.0)
     omega = omega.scaled(scale_measure_admissible(omega, 0.5, params, g)[0])
     k, N = 3, g.N
