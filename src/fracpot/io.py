@@ -33,7 +33,7 @@ def json_text(document, indent: int | None = 2) -> str:
 
 def write_field(field: GridField, path: Path | str) -> None:
     path = Path(path)
-    path.write_bytes(field.values.astype("<f8").tobytes(order="C"))
+    field.values.astype("<f8", copy=False).tofile(path)
     meta = {"n": field.grid.n, "N": field.grid.N, "L": field.grid.L}
     sidecar_path(path).write_text(json_text(meta, indent=None))
 

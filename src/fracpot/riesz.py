@@ -27,10 +27,12 @@ transforms, one axis per pass, pruned of the all-zero input lines and the
 cropped output lines (Hockney-Eastwood).  Each padded kernel is even or odd
 in every axis, so its transform is real or imaginary and is fixed by its
 values on the octant of frequencies 0..N: it is built there by a DCT-I (a
-DST-I along the odd axis of a gradient component), cached as one real
-(N+1)^n array, and mirrored over the spectrum when it multiplies.  The n
-gradient components share one such array, each reading it with two axes
-swapped, and the cache keeps only the hats of the convolution that runs.
+DST-I along the odd axis of a gradient component), times the cell volume
+h^n that weights the quadrature (an atom's exact sum carries none), cached
+as one real (N+1)^n array, and mirrored over the spectrum when it
+multiplies.  The n gradient components share one such array, each reading
+it with two axes swapped, and the cache keeps only the hats of the
+convolution that runs.
 I_2s and its gradient share one forward transform, or one pass over the
 atoms.  The padded spectrum is never held whole: after the last-axis rfft, its
 columns stream in cache-sized slabs, never narrower than 8 columns, through
@@ -303,8 +305,8 @@ def _filtered(crop: tuple[int, ...], padded: tuple[int, ...], products: list, re
     out the slab, which holds the spectrum's last-axis frequencies cols,
     times the multiplier's columns cols; out may be the slab itself.  sinks
     yields (count, write) pairs, each taking the next count products, and
-    write(a, b, lines) receives rows a..b-1 of their results, unscaled, as
-    count (b - a, crop[-1]) views of scratch, which it may overwrite.  read
+    write(a, b, lines) receives rows a..b-1 of their results as count
+    (b - a, crop[-1]) views of scratch, which it may overwrite.  read
     and write run on the workers, on disjoint rows at once.
 
     The rfft of the data rows fills a half-size spectrum of crop[:-1] +
@@ -368,8 +370,8 @@ def _filtered(crop: tuple[int, ...], padded: tuple[int, ...], products: list, re
         del group
 
 
-def _new_results(shape: tuple[int, ...], scale: float, results: list):
-    """Sinks for _filtered that write scale times each product's result into a new array.
+def _new_results(shape: tuple[int, ...], results: list):
+    """Sinks for _filtered that write each product's result into a new array.
 
     Each array is appended to results when its product's pass starts, so
     that none is held while the spectra of the products before it are.
@@ -378,7 +380,7 @@ def _new_results(shape: tuple[int, ...], scale: float, results: list):
         result = np.empty(shape)
         results.append(result)
         result_rows = result.reshape(-1, shape[-1])
-        yield 1, lambda a, b, lines, rows=result_rows: np.multiply(lines[0], scale, out=rows[a:b])
+        yield 1, lambda a, b, lines, rows=result_rows: np.copyto(rows[a:b], lines[0])
 
 
 def _real_line_transform(hat: np.ndarray, axis: int, odd: bool) -> None:
@@ -475,8 +477,9 @@ def _kernel_hats(grid: Grid, order: float, family) -> list[tuple[np.ndarray, int
     every axis has a real transform, the DCT-I of its samples on the octant
     of offsets 0..N; a kernel odd in axis i has -i times the DST-I along
     axis i (0 at frequencies 0 and N) of the DCT-I along the others.  So each
-    hat is cached as that one real (N+1)^n array, per grid, order and
-    family, and _hat_product mirrors it over the rest of the spectrum.
+    hat is cached as that one real (N+1)^n array times the cell volume h^n,
+    the quadrature's weight, per grid, order and family, and _hat_product
+    mirrors it over the rest of the spectrum.
     Gradient component i is component 0 with axes 0 and i swapped, on the
     octant and so in its transform: one octant, odd in axis 0, stands for
     all n, each read through a swapped view.
@@ -494,6 +497,7 @@ def _kernel_hats(grid: Grid, order: float, family) -> list[tuple[np.ndarray, int
         even = [ax for ax in range(n) if ax != odd]
         for ax in even if odd is None else even + [odd]:
             _real_line_transform(hat, ax, ax == odd)
+        hat *= grid.cell_volume
         _PLAN_CACHE[key] = hat
         _plan_cache_peak = max(_plan_cache_peak, plan_cache_bytes())
     hat = _PLAN_CACHE[key]
@@ -552,15 +556,16 @@ def _hat_product(hat: np.ndarray, odd, N: int):
 def _convolve(grid: Grid, read, sinks, *families: tuple[float, object]) -> None:
     """The density whose rows read gives, convolved with each kernel of the (order, family) pairs.
 
-    One transform of the density serves every kernel, and the results go to
-    sinks row block by row block, unscaled (see _filtered).  For k kernels on
-    an n-D grid of N points per axis this allocates, besides one cached
-    (N+1)^n hat per family and what read and the sinks allocate, k half-size
-    spectra of N^(n-1) (N+1) complex points, one of them the density's
-    transform, those of a sink freed once it has all their rows.  Each
-    worker adds scratch, none of it more than its whole stage: two slabs (one
-    for a single kernel) of _SLAB_BYTES or _SLAB_MIN_COLUMNS columns, then
-    one block of rows per kernel of a sink, _SLAB_BYTES in all or a row each.
+    One transform of the density serves every kernel, and the potentials,
+    h^n carried by the hats, go to sinks row block by row block (see
+    _filtered).  For k kernels on an n-D grid of N points per axis this
+    allocates, besides one cached (N+1)^n hat per family and what read and
+    the sinks allocate, k half-size spectra of N^(n-1) (N+1) complex points,
+    one of them the density's transform, those of a sink freed once it has
+    all their rows.  Each worker adds scratch, none of it more than its whole
+    stage: two slabs (one for a single kernel) of _SLAB_BYTES or
+    _SLAB_MIN_COLUMNS columns, then one block of rows per kernel of a sink,
+    _SLAB_BYTES in all or a row each.
     """
     # hats this call does not read go before any it lacks is built, so that
     # the cache holds no more than one call's kernels
@@ -584,7 +589,7 @@ def _convolve_field(f: GridField, *families: tuple[float, object]) -> list[GridF
         raise ConfigError("potential of a signed density is not defined here")
     g, results = f.grid, []
     lines = f.values.reshape(-1, g.N)
-    _convolve(g, lambda a, b: lines[a:b], _new_results(g.shape, g.cell_volume, results), *families)
+    _convolve(g, lambda a, b: lines[a:b], _new_results(g.shape, results), *families)
     return [GridField(g, v) for v in results]
 
 
@@ -599,20 +604,13 @@ def riesz_potential_and_gradient_rows(grid: Grid, s: float, read, write) -> None
     The rows are the grid's lines along its last axis, in C order, and the
     density must be nonnegative, which is not checked.  read(a, b) returns
     rows a..b-1 of the density as a (b - a, N) array; write(a, b, blocks)
-    receives rows a..b-1 of I_2s and of each gradient component, 1 + n
-    (b - a, N) views of scratch, which it may overwrite.  Both run on
-    the workers, on disjoint rows at once.  The blocks are bitwise those of
-    the density's convolution with each kernel alone, and no result is ever
-    held whole.
+    receives rows a..b-1 of I_2s and of each gradient component straight
+    from the engine, 1 + n (b - a, N) views of scratch, which it may
+    overwrite.  Both run on the workers, on disjoint rows at once.  The
+    blocks are bitwise those of the density's convolution with each kernel
+    alone, and no result is ever held whole.
     """
-    scale = grid.cell_volume
-
-    def scaled(a, b, lines):
-        for line in lines:
-            np.multiply(line, scale, out=line)
-        write(a, b, lines)
-
-    _convolve(grid, read, iter([(1 + grid.n, scaled)]),
+    _convolve(grid, read, iter([(1 + grid.n, write)]),
               (2.0 * s, _scalar_kernels), (s, _gradient_kernels))
 
 

@@ -54,6 +54,38 @@ def test_field_is_read_into_its_array_without_a_copy(tmp_path):
     assert peak < 1.25 * f.values.nbytes
 
 
+def test_field_is_written_without_a_copy(tmp_path):
+    # a 128^2 field is 128 KiB: the write reads the field's own buffer, not
+    # a converted array and its bytes
+    grid = Grid(2, 4.0, 128)
+    f = GridField(grid, np.random.default_rng(5).standard_normal(grid.shape))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_field(f, tmp_path / "u.field")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "u.field").read_bytes() == f.values.tobytes()
+    assert peak < 1.25 * f.values.nbytes
+
+
+def test_non_contiguous_fields_round_trip_in_c_order(tmp_path, grid):
+    rng = np.random.default_rng(6)
+    wide = rng.standard_normal((grid.N, 2 * grid.N))
+    layouts = {
+        "transposed": rng.standard_normal(grid.shape).T,
+        "fortran": np.asfortranarray(rng.standard_normal(grid.shape)),
+        "strided": wide[:, ::2],
+    }
+    for name, values in layouts.items():
+        assert not values.flags.c_contiguous, name
+        path = tmp_path / f"{name}.field"
+        write_field(GridField(grid, values), path)
+        assert path.read_bytes() == values.tobytes(order="C"), name
+        assert np.array_equal(read_field(path).values, values), name
+
+
 def test_field_sidecar_records_grid(tmp_path, grid):
     write_field(grid.zeros(), tmp_path / "u.field")
     sidecar = json.loads((tmp_path / "u.field.json").read_text())

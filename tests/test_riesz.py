@@ -7,6 +7,7 @@ unpruned numpy.fft convolution with the same kernels and to the direct sum,
 both also in oracles.py.
 """
 
+import math
 import threading
 import tracemalloc
 
@@ -258,10 +259,12 @@ def _odd_factor(n: int, N: int, odd: int) -> np.ndarray:
 
 
 def _filtered(values: np.ndarray, products: list, scale: float) -> list[np.ndarray]:
-    """riesz._filtered of an array padded to twice its points per axis, into new scaled results."""
+    """riesz._filtered of an array padded to twice its points per axis, into new results times scale."""
     lines, results = values.reshape(-1, values.shape[-1]), []
     riesz._filtered(values.shape, tuple(2 * m for m in values.shape), products,
-                    lambda a, b: lines[a:b], riesz._new_results(values.shape, scale, results))
+                    lambda a, b: lines[a:b], riesz._new_results(values.shape, results))
+    for result in results:
+        result *= scale
     return results
 
 
@@ -298,7 +301,8 @@ def test_octant_hats_are_the_transforms_of_the_padded_kernels(n, N):
         hats = riesz._kernel_hats(g, order, family)
         assert [odd for _, odd in hats] == list(odd_axes)
         for (hat, odd), kern in zip(hats, _padded_kernels(g, (order, family))):
-            full = np.fft.rfftn(kern)
+            # the cached hat carries the quadrature's weight h^n
+            full = np.fft.rfftn(kern) * g.cell_volume
             mirrored = hat[_fold(n, N)].astype(complex)
             if odd is not None:
                 mirrored *= _odd_factor(n, N, odd)
@@ -348,6 +352,7 @@ def test_hats_equal_scipy_dct1_and_dst1_bitwise(monkeypatch, n, N, workers):
             ref = scipy.fft.dctn(kern, type=1, axes=[ax for ax in range(n) if ax != odd])
             if odd is not None:
                 ref[1:N] = scipy.fft.dst(ref[1:N], type=1, axis=0)
+            ref *= g.cell_volume  # the cached hat carries h^n
             assert hats[0][0].tobytes() == ref.tobytes()
             # component i reads component 0's octant with axes 0 and i swapped
             for hat, odd in hats[1:]:
@@ -394,27 +399,36 @@ def test_pruned_transforms_equal_scipy_bitwise(monkeypatch, n, N):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("n, N", [(2, 48), (3, 12)])
+@pytest.mark.parametrize("n, N", [(2, 48), (3, 12), (2, 32), (3, 16)])
 def test_convolution_equals_the_whole_array_route_bitwise(monkeypatch, n, N, workers):
     # the reference holds the padded spectrum, each product with a mirrored
-    # hat and each full-width inverse whole, through scipy.fft
+    # hat and each full-width inverse whole, through scipy.fft.  Where h is a
+    # power of two (h = 1/2 and 1 here), so is h^n, and it makes no bit of
+    # difference where it is applied: the reference then takes it off the
+    # hats and applies it after the inverse
     _slabs(monkeypatch, n, N)
     g = Grid(n, 8.0, N)
+    weight = g.cell_volume if math.frexp(g.h)[0] == 0.5 else 1.0
     f = _smooth_density(g)
     families = ((1.5, _scalar_kernels), (0.75, _gradient_kernels))
     clear_plan_cache()
     with fft_workers(workers):
         got = riesz._convolve_field(f, *families)
+        octants = [hat.tobytes() for hat in riesz._PLAN_CACHE.values()]
+        # served from the warm cache, whose octants must not be scaled again
+        again = riesz._convolve_field(f, *families)
+    assert [hat.tobytes() for hat in riesz._PLAN_CACHE.values()] == octants
+    assert [v.values.tobytes() for v in again] == [v.values.tobytes() for v in got]
     spectrum = scipy.fft.rfftn(f.values, s=(2 * N,) * n)
     hats = [pair for order, family in families for pair in riesz._kernel_hats(g, order, family)]
     assert len(got) == len(hats) == 1 + n
     for field, (hat, odd) in zip(got, hats):
-        ref = spectrum * hat[_fold(n, N)]
+        ref = spectrum * (hat / weight)[_fold(n, N)]
         if odd is not None:
             ref *= _odd_factor(n, N, odd)
         for ax in range(n - 1):
             ref = scipy.fft.ifft(ref, axis=ax)[(slice(None),) * ax + (slice(0, N),)]
-        ref = scipy.fft.irfft(ref, n=2 * N, axis=-1)[..., :N] * g.cell_volume
+        ref = scipy.fft.irfft(ref, n=2 * N, axis=-1)[..., :N] * weight
         assert field.values.tobytes() == ref.tobytes()
     clear_plan_cache()
 
