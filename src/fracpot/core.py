@@ -285,14 +285,22 @@ class Measure:
 
         Atomic measures have no density representation; callers evaluate
         their potentials analytically instead.  A measure of another
-        dimension than the grid is a GridMismatch.
+        dimension than the grid is a GridMismatch, and a ball that holds no
+        cell center is refused: its density would be zero, its mass not.
         """
         if self.kind == "density":
             if self.density.grid != grid:
                 raise GridMismatch("density measure lives on a different grid")
             return self.density
         if self.kind == "uniform_ball":
+            # dist2 stays alive until the density is made: freed before it, it
+            # lifts glibc's mmap threshold, the density lands on the heap and a
+            # solve's peak RSS rises (n=2, N=1024: 159.6 -> 165.7 MB)
             dist2 = grid.dist2(self.ball_center)
-            values = np.where(dist2 < self.ball_radius**2, self.ball_amplitude, 0.0)
-            return GridField(grid, values)
+            inside = dist2 < self.ball_radius**2
+            if not inside.any():
+                raise ConfigError(
+                    f"the ball of radius {self.ball_radius} at {tuple(self.ball_center.tolist())} "
+                    f"holds no cell center of the grid with h = {grid.h}; refine the grid")
+            return GridField(grid, np.where(inside, self.ball_amplitude, 0.0))
         raise ConfigError("atomic measures are evaluated analytically, not rasterised")

@@ -109,7 +109,12 @@ def constants_ledger(params: Parameters, theta: float) -> ConstantsLedger:
 
 @dataclass
 class SolveReport:
-    """Iteration history and the one run_checks pass on the final fields."""
+    """A solve's Picard history and the one run_checks pass on its final fields.
+
+    One entry per step in sup_u, sup_increment, sup_gradient_increment and
+    picard_step_s, and in increment_ratios from the second step on (0 after
+    a zero increment); iterations, first_increment and converged are set from them.
+    """
 
     converged: bool = False
     iterations: int = 0
@@ -296,11 +301,14 @@ def _iterate(
     max_iter: int,
     report: SolveReport,
 ) -> tuple[GridField, VectorGridField, GridField, GridField]:
-    """The admissibility guard and the Picard loop.
+    """The admissibility guard and the Picard loop, recorded in report.
 
     Returns u, grad u, u0 = I_2s(omega) and the guard's I_{2s-1}(omega).
     After its set-up the loop holds u0, grad u0, that potential, u and
     grad u, and each step (_picard_step) updates u and grad u in place.
+    Besides those the loop keeps only report's history.  It stops converged
+    at the first increment at most tol times the first, raises Diverged
+    after five consecutive increment ratios above 1, or stops after max_iter.
     """
     adm, v = wolff_ratio_and_potential(omega, params, grid)
     report.admissibility = asdict(adm)
@@ -312,45 +320,26 @@ def _iterate(
 
     u0, g0 = riesz_potential_and_gradient_measure(omega, params.s, grid)
     g0_vals = [c.values for c in g0.components]
-
     u = u0.values.copy()
-    grad = [v.copy() for v in g0_vals]
-    first_inc = 0.0
-    diverging = 0
-    converged = False
-    iterations = 0
+    grad = [g.copy() for g in g0_vals]
+    incs, ratios = report.sup_increment, report.increment_ratios
 
-    for k in range(max_iter):
-        iterations = k + 1
+    for _ in range(max_iter):
         start = time.perf_counter()
         inc, ginc, sup_u = _picard_step(params, grid, u0.values, g0_vals, u, grad)
         report.picard_step_s.append(time.perf_counter() - start)
         report.sup_u.append(sup_u)
-        report.sup_increment.append(inc)
         report.sup_gradient_increment.append(ginc)
-        if k == 0:
-            first_inc = inc
-            report.first_increment = inc
-        else:
-            prev = report.sup_increment[-2]
-            ratio = inc / prev if prev > 0.0 else 0.0
-            report.increment_ratios.append(ratio)
-            if ratio > 1.0:
-                diverging += 1
-                if diverging >= 5:
-                    raise Diverged(
-                        f"increment ratio above 1 for {diverging} consecutive steps"
-                    )
-            else:
-                diverging = 0
-
-        if inc <= tol * first_inc:
-            converged = True
+        if incs:
+            ratios.append(inc / incs[-1] if incs[-1] > 0.0 else 0.0)
+            if len(ratios) >= 5 and min(ratios[-5:]) > 1.0:
+                raise Diverged("increment ratio above 1 for 5 consecutive steps")
+        incs.append(inc)
+        if inc <= tol * incs[0]:
+            report.converged = True
             break
 
-    u_field = GridField(grid, u)
-    grad_field = VectorGridField(grid, tuple(GridField(grid, g) for g in grad))
-
-    report.converged = converged
-    report.iterations = iterations
-    return u_field, grad_field, u0, v
+    report.iterations = len(incs)
+    report.first_increment = incs[0] if incs else 0.0
+    return (GridField(grid, u), VectorGridField(grid, tuple(GridField(grid, g) for g in grad)),
+            u0, v)

@@ -351,6 +351,24 @@ def test_admissibility_ratio_exactly_homogeneous():
         assert abs(scaled - t ** (PARAMS.q - 1.0) * base) <= 1e-8 * base
 
 
+@pytest.mark.parametrize("q", [2.0, 1.7])
+@pytest.mark.parametrize("n, N", [(2, 128), (3, 32)])
+def test_admissibility_ratio_homogeneous_at_scales_that_are_not_powers_of_two(n, N, q):
+    # auto-scaling rests on c1_hat(t omega) = t^(q-1) c1_hat(omega); at these
+    # t the scaling rounds, so the identity holds to rounding, not exactly
+    params, g = Parameters(n, 0.75, q), Grid(n, 8.0, N)
+    om = Measure.uniform_ball(np.zeros(n), 1.0, 1.0)
+    base = wolff_ratio(om, params, g).c1_hat
+    for t in (0.37, 3.1e-3, 41.0):
+        scaled = wolff_ratio(om.scaled(t), params, g).c1_hat
+        assert abs(scaled - t ** (q - 1.0) * base) <= 1e-12 * scaled
+    # scale_measure_admissible infers the scaled datum's ratio from the same identity
+    for theta in (0.5, 0.9, 1e-3):
+        t, rep = scale_measure_admissible(om, theta, params, g)
+        measured = wolff_ratio(om.scaled(t), params, g).c1_hat
+        assert abs(rep.c1_hat - measured) <= 1e-12 * measured
+
+
 def test_admissibility_ratio_homogeneous_down_to_a_tiny_datum():
     # the cells the sup runs over are chosen relative to max I_{2s-1}(omega),
     # so a datum far below any absolute floor is measured like the unit one

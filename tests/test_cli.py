@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fracpot
-from fracpot import riesz
+from fracpot import riesz, solver
 from fracpot.cli import load_config, load_scenario, main
 from fracpot.io import read_field, write_field
 from fracpot.riesz import available_cpus
@@ -283,6 +283,8 @@ _CAPACITY = ["capacity", "--alpha", "0.5", "--p", "2", "--N", "16"]
         ([*_CAPACITY, "--ball", "1e200,0,1"], 1),
         ([*_CAPACITY, "--mask-file", "{far_ball}"], 1),
         (["wolff", "--config", "{cfg}", "--theta", "5"], 1),
+        (["solve", "--config", "{coarse}", "--out", "{tmp}/o", "--auto-scale"], 1),
+        (["wolff", "--config", "{coarse}"], 1),
         (["solve", "--config", "{raw}", "--out", "{tmp}/o"], 2),
         (["wolff", "--config", "{tmp}/missing.json"], 4),
         (["verify", "--config", "{cfg}", "--fields", "{truncated}"], 5),
@@ -296,7 +298,8 @@ _CAPACITY = ["capacity", "--alpha", "0.5", "--p", "2", "--N", "16"]
          "q-1e5-ledger-overflows", "solve-q-1e5-ledger-overflows", "p-scale-overflows",
          "mask-p-scale-overflows", "mask-p-scale-underflows", "mask-p-estimate-overflows",
          "ball-p-bound-before-estimate", "ball-centre-far-away", "mask-ball-centre-far-away",
-         "wolff-theta-without-auto-scale", "inadmissible",
+         "wolff-theta-without-auto-scale", "solve-ball-between-cell-centers",
+         "wolff-ball-between-cell-centers", "inadmissible",
          "missing-config", "truncated-field"],
 )
 def test_refused_input_exits_with_its_code_and_one_error_line(solved, tmp_path, capsys,
@@ -316,8 +319,9 @@ def test_refused_input_exits_with_its_code_and_one_error_line(solved, tmp_path, 
     cells.write_text("[[8, 8], [8, 9]]")
     far_ball = tmp_path / "far_ball.json"
     far_ball.write_text('{"ball": {"center": [1e200, 0], "radius": 1}}')
+    coarse = _write_config(tmp_path / "coarse.json", grid={"L": 8.0, "N": 8})
     argv = [a.format(cfg=cfg, raw=raw, tmp=tmp_path, truncated=truncated, huge_q=huge_q,
-                     cells=cells, far_ball=far_ball) for a in argv]
+                     cells=cells, far_ball=far_ball, coarse=coarse) for a in argv]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == code
@@ -495,6 +499,36 @@ def test_config_refuses_a_solve_that_cannot_converge(tmp_path, capsys, overrides
     assert main(["solve", "--config", str(cfg), "--out", str(out), "--auto-scale"]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def _scripted_solve(tmp_path, monkeypatch, increments, max_iter):
+    """solve --auto-scale on N=32 with no checks, each Picard step reporting the next increment."""
+    script = iter(increments)
+    monkeypatch.setattr(solver, "_picard_step", lambda *args: (next(script), 1.0, 1.0))
+    cfg = _write_config(tmp_path / "run.json", grid={"L": 8.0, "N": 32}, max_iter=max_iter,
+                        checks=[])
+    out = tmp_path / "out"
+    return main(["solve", "--config", str(cfg), "--out", str(out), "--auto-scale"]), out
+
+
+def test_solve_that_diverges_exits_3_with_one_error_line(tmp_path, monkeypatch, capsys):
+    rc, out = _scripted_solve(tmp_path, monkeypatch, [2.0**k for k in range(10)], 200)
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: increment ratio above 1 for 5 consecutive steps\n"
+    assert not (out / "report.json").exists()
+
+
+def test_solve_that_exhausts_its_budget_exits_1_and_writes_its_report(tmp_path, monkeypatch,
+                                                                      capsys):
+    rc, out = _scripted_solve(tmp_path, monkeypatch, [1.0, 0.5, 0.25, 0.125], 3)
+    assert rc == 1
+    assert capsys.readouterr().out.startswith("converged=False iterations=3\n")
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is False and report["iterations"] == 3
+    assert report["sup_increment"] == [1.0, 0.5, 0.25]
+    assert (out / "u.field").exists() and (out / "measure.json").exists()
 
 
 def test_config_tol_zero_still_converges(tmp_path, capsys):

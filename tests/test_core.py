@@ -185,6 +185,19 @@ def test_as_density_rasterizes_uniform_ball():
     )
 
 
+@pytest.mark.parametrize("N", [2, 4, 8])
+def test_as_density_refuses_a_ball_that_holds_no_cell_center(N):
+    # at L = 8 and h >= 2 the unit ball lies between cell centers: its
+    # density would be zero everywhere while its mass is pi
+    g = Grid(2, 8.0, N)
+    om = Measure.uniform_ball(np.zeros(2), 1.0, 1.0)
+    with pytest.raises(ConfigError, match=rf"^the ball of radius 1.0 at \(0.0, 0.0\) holds no "
+                                          rf"cell center of the grid with h = {g.h}; "):
+        om.as_density(g)
+    # one cell center inside is enough
+    Measure.uniform_ball(np.full(2, g.h / 2), 1.0, 1.0).as_density(g)
+
+
 def test_as_density_refuses_a_ball_of_another_dimension():
     g = Grid(2, 4.0, 64)
     om = Measure.uniform_ball(np.array([0.5, 0.0, 0.0]), 1.0)

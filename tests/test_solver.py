@@ -22,7 +22,7 @@ from fracpot import (
     scale_measure_admissible,
 )
 from fracpot import riesz, solver
-from fracpot.errors import ConfigError, NotAdmissible
+from fracpot.errors import ConfigError, Diverged, NotAdmissible
 from fracpot.riesz import clear_plan_cache, fft_workers
 
 from oracles import stage_cuts
@@ -113,6 +113,97 @@ def test_solve_rejects_inadmissible_measure():
     # c1_hat = 0.88 for the unit-amplitude ball, far above the threshold
     with pytest.raises(NotAdmissible):
         picard_solve(om, PARAMS, g)
+
+
+def _small_admissible_datum():
+    g = Grid(2, 8.0, 32)
+    om = Measure.uniform_ball(np.zeros(2), 1.0, 1.0)
+    return om.scaled(scale_measure_admissible(om, 0.5, PARAMS, g)[0]), g
+
+
+def _script_steps(monkeypatch, increments):
+    """Make each Picard step report the next scripted increment; returns the increments taken."""
+    script = iter(increments)
+    taken = []
+
+    def step(*args):
+        inc = next(script)
+        taken.append(inc)
+        return inc, 2.0 * inc, 1.0
+
+    monkeypatch.setattr(solver, "_picard_step", step)
+    return taken
+
+
+def test_loop_diverges_after_five_consecutive_ratios_above_one(monkeypatch):
+    omega, g = _small_admissible_datum()
+    taken = _script_steps(monkeypatch, [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
+    with pytest.raises(Diverged, match="^increment ratio above 1 for 5 consecutive steps$"):
+        picard_solve(omega, PARAMS, g, checks=())
+    # five ratios need six steps; the seventh increment is never asked for
+    assert len(taken) == 6
+
+
+def test_a_ratio_of_at_most_one_resets_the_divergence_count(monkeypatch):
+    # four ratios above 1, a ratio of exactly 1, then four more: no run of
+    # five, so the loop goes on to its budget
+    omega, g = _small_admissible_datum()
+    increments = [1.0, 2.0, 4.0, 8.0, 16.0, 16.0, 32.0, 64.0, 128.0, 256.0]
+    _script_steps(monkeypatch, increments)
+    _, _, rep = picard_solve(omega, PARAMS, g, max_iter=10, checks=())
+    assert not rep.converged and rep.iterations == 10
+    assert rep.increment_ratios == [2.0, 2.0, 2.0, 2.0, 1.0, 2.0, 2.0, 2.0, 2.0]
+
+
+def test_loop_that_exhausts_its_budget_reports_not_converged(monkeypatch):
+    omega, g = _small_admissible_datum()
+    _script_steps(monkeypatch, [1.0, 0.5, 0.25, 0.125, 0.0625])
+    _, _, rep = picard_solve(omega, PARAMS, g, tol=1e-8, max_iter=4, checks=())
+    assert rep.converged is False and rep.iterations == 4
+    assert rep.first_increment == 1.0
+    assert rep.sup_increment == [1.0, 0.5, 0.25, 0.125]
+    assert rep.sup_gradient_increment == [2.0, 1.0, 0.5, 0.25]
+    assert rep.increment_ratios == [0.5, 0.5, 0.5]
+
+
+def test_loop_stops_at_the_first_increment_within_tol_of_the_first(monkeypatch):
+    omega, g = _small_admissible_datum()
+    _script_steps(monkeypatch, [4.0, 1.0, 0.5, 0.25])
+    _, _, rep = picard_solve(omega, PARAMS, g, tol=0.125, checks=())
+    # 0.5 = tol x first increment stops the loop; 1.0 does not
+    assert rep.converged is True and rep.iterations == 3
+    assert rep.sup_increment == [4.0, 1.0, 0.5]
+
+
+def test_a_zero_increment_gives_a_zero_ratio(monkeypatch):
+    # with tol < 0 no increment stops the loop, so a step can follow a zero one
+    omega, g = _small_admissible_datum()
+    _script_steps(monkeypatch, [1.0, 0.0, 3.0])
+    _, _, rep = picard_solve(omega, PARAMS, g, tol=-1.0, max_iter=3, checks=())
+    assert rep.increment_ratios == [0.0, 0.0]
+    assert not rep.converged and rep.iterations == 3
+
+
+def test_a_loop_without_budget_returns_the_datum_potential():
+    omega, g = _small_admissible_datum()
+    u, grad, rep = picard_solve(omega, PARAMS, g, max_iter=0, checks=())
+    u0, g0 = riesz.riesz_potential_and_gradient_measure(omega, PARAMS.s, g)
+    assert np.array_equal(u.values, u0.values)
+    assert all(np.array_equal(a.values, b.values)
+               for a, b in zip(grad.components, g0.components))
+    assert rep.iterations == 0 and rep.converged is False and rep.first_increment == 0.0
+    assert rep.sup_increment == [] and rep.increment_ratios == [] and rep.picard_step_s == []
+
+
+def test_reference_run_record_is_one_entry_per_step(reference_run):
+    rep = reference_run["report"]
+    K = rep.iterations
+    assert K == len(rep.sup_u) == len(rep.sup_increment) == len(rep.sup_gradient_increment)
+    assert K == len(rep.picard_step_s) == len(rep.increment_ratios) + 1
+    assert rep.first_increment == rep.sup_increment[0]
+    incs = rep.sup_increment
+    assert rep.increment_ratios == [b / a for a, b in zip(incs, incs[1:])]
+    assert rep.sup_increment[-1] <= 1e-8 * rep.first_increment < rep.sup_increment[-2]
 
 
 def test_reference_solve_converges_fast(reference_run):
